@@ -30,6 +30,7 @@ use essat_net::ids::NodeId;
 use essat_obs::json::escape;
 use essat_obs::perfetto::PerfettoBuilder;
 use essat_obs::profile::RunTimings;
+use essat_obs::NullProbe;
 use essat_wsn::config::{ExperimentConfig, Protocol};
 use essat_wsn::metrics::RunResult;
 use essat_wsn::payload::Payload;
@@ -573,14 +574,16 @@ impl SweepExecutor {
         let attempt = |scratch: &mut WorldScratch, timings: &mut RunTimings| {
             *timings = RunTimings::default();
             catch_unwind(AssertUnwindSafe(|| {
-                World::run_pooled_timed(
+                World::run_instrumented(
                     cfg,
                     &|c, n, e| factory(c, n, e),
                     Some(cache),
                     scratch,
                     budget,
+                    NullProbe,
                     timings,
                 )
+                .0
             }))
         };
         match attempt(scratch, timings) {

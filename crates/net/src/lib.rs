@@ -32,7 +32,7 @@ pub mod topology;
 
 /// Convenience re-exports.
 pub mod prelude {
-    pub use crate::channel::{Channel, ChannelStats, TxEnd, TxId, TxStart};
+    pub use crate::channel::{Channel, ChannelStats, TxId, TxStart};
     pub use crate::frame::{airtime, Dest, Frame, FrameId, FrameKind};
     pub use crate::geometry::{Area, Position};
     pub use crate::ids::NodeId;

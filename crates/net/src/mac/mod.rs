@@ -18,9 +18,9 @@
 //!   re-ACKed but delivered once);
 //! * suspension while the node's radio is off.
 //!
-//! The state machine never touches the engine: every input returns a list
-//! of [`MacAction`]s (timers to arm, transmissions to start, frames to
-//! deliver up) that the simulator executes. Timers are *truly cancelled*:
+//! The state machine never touches the engine: every input appends
+//! [`MacAction`]s (timers to arm, transmissions to start, frames to
+//! deliver up) to a caller-recycled buffer that the simulator executes. Timers are *truly cancelled*:
 //! the MAC keeps the live [`EventId`] of every armed timer (reported back
 //! by the executor via [`Mac::timer_scheduled`] after it schedules a
 //! [`MacAction::SetTimer`]) and, on disarm or re-arm, surrenders the
@@ -90,7 +90,7 @@ impl Default for MacParams {
 }
 
 /// Timer classes the MAC arms. The simulator routes expiry back via
-/// [`Mac::timer_fired`]; at most one timer of each kind is armed at a
+/// [`Mac::timer_fired_into`]; at most one timer of each kind is armed at a
 /// time, and the MAC owns its cancellation handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MacTimer {
@@ -131,7 +131,7 @@ impl fmt::Display for MacTimer {
 /// Instructions emitted by the MAC for the simulator to execute.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MacAction<P> {
-    /// Arm (or re-arm) a timer; deliver expiry via [`Mac::timer_fired`].
+    /// Arm (or re-arm) a timer; deliver expiry via [`Mac::timer_fired_into`].
     /// After scheduling the expiry event, the executor must hand its
     /// [`EventId`] back through [`Mac::timer_scheduled`] (and cancel any
     /// handle that call returns) so disarms can truly cancel it.
@@ -141,7 +141,7 @@ pub enum MacAction<P> {
         /// Delay from now.
         after: SimDuration,
     },
-    /// Put a frame on the air for `airtime`; call [`Mac::tx_ended`] when
+    /// Put a frame on the air for `airtime`; call [`Mac::tx_ended_into`] when
     /// it completes.
     StartTx {
         /// The frame (already containing its final size).
@@ -385,20 +385,15 @@ impl<P: Clone + Default + PartialEq> Mac<P> {
         self.timer_ev[kind.idx()]
     }
 
-    /// Hands a data frame to the MAC for transmission.
+    /// Hands a data frame to the MAC for transmission, appending the
+    /// resulting actions to `out`, a caller-recycled buffer (like every
+    /// MAC entry point, this keeps the simulator's hot path
+    /// allocation-free).
     ///
     /// # Panics
     ///
     /// Panics if the frame is not a data frame or claims a different
     /// source.
-    pub fn enqueue(&mut self, frame: Frame<P>, now: SimTime) -> Vec<MacAction<P>> {
-        let mut out = Vec::new();
-        self.enqueue_into(frame, now, &mut out);
-        out
-    }
-
-    /// [`Mac::enqueue`], appending actions to a caller-recycled buffer
-    /// (the simulator's allocation-free hot path).
     pub fn enqueue_into(&mut self, frame: Frame<P>, now: SimTime, out: &mut Vec<MacAction<P>>) {
         assert_eq!(
             frame.kind,
@@ -473,13 +468,6 @@ impl<P: Clone + Default + PartialEq> Mac<P> {
     }
 
     /// The medium became idle at this node.
-    pub fn carrier_idle(&mut self, now: SimTime) -> Vec<MacAction<P>> {
-        let mut out = Vec::new();
-        self.carrier_idle_into(now, &mut out);
-        out
-    }
-
-    /// [`Mac::carrier_idle`] into a caller-recycled buffer.
     pub fn carrier_idle_into(&mut self, _now: SimTime, out: &mut Vec<MacAction<P>>) {
         self.medium_busy = false;
         if self.state == State::WaitIdle {
@@ -491,13 +479,6 @@ impl<P: Clone + Default + PartialEq> Mac<P> {
     /// A timer armed through [`MacAction::SetTimer`] expired. Disarmed
     /// timers are truly cancelled on the event queue, so every expiry
     /// that arrives here is current.
-    pub fn timer_fired(&mut self, kind: MacTimer, now: SimTime) -> Vec<MacAction<P>> {
-        let mut out = Vec::new();
-        self.timer_fired_into(kind, now, &mut out);
-        out
-    }
-
-    /// [`Mac::timer_fired`] into a caller-recycled buffer.
     pub fn timer_fired_into(&mut self, kind: MacTimer, now: SimTime, out: &mut Vec<MacAction<P>>) {
         let i = kind.idx();
         if !self.timer_armed[i] {
@@ -647,13 +628,6 @@ impl<P: Clone + Default + PartialEq> Mac<P> {
     /// Our own transmission (started via [`MacAction::StartTx`]) has left
     /// the air. The simulator calls this when the channel's end event
     /// fires.
-    pub fn tx_ended(&mut self, now: SimTime) -> Vec<MacAction<P>> {
-        let mut out = Vec::new();
-        self.tx_ended_into(now, &mut out);
-        out
-    }
-
-    /// [`Mac::tx_ended`] into a caller-recycled buffer.
     pub fn tx_ended_into(&mut self, now: SimTime, out: &mut Vec<MacAction<P>>) {
         match self.state {
             State::TxData => {
@@ -701,13 +675,6 @@ impl<P: Clone + Default + PartialEq> Mac<P> {
 
     /// A frame arrived intact at this node (clean on the channel and the
     /// radio was active for its whole airtime).
-    pub fn frame_arrived(&mut self, frame: Frame<P>, now: SimTime) -> Vec<MacAction<P>> {
-        let mut out = Vec::new();
-        self.frame_arrived_into(frame, now, &mut out);
-        out
-    }
-
-    /// [`Mac::frame_arrived`] into a caller-recycled buffer.
     pub fn frame_arrived_into(
         &mut self,
         frame: Frame<P>,
@@ -806,13 +773,6 @@ impl<P: Clone + Default + PartialEq> Mac<P> {
 
     /// The node's radio is active again. `medium_busy` is the channel's
     /// current carrier state at this node.
-    pub fn radio_woke(&mut self, now: SimTime, medium_busy: bool) -> Vec<MacAction<P>> {
-        let mut out = Vec::new();
-        self.radio_woke_into(now, medium_busy, &mut out);
-        out
-    }
-
-    /// [`Mac::radio_woke`] into a caller-recycled buffer.
     pub fn radio_woke_into(
         &mut self,
         now: SimTime,

@@ -28,11 +28,18 @@ fn t(us: u64) -> SimTime {
     SimTime::from_micros(us)
 }
 
+/// Collects the actions one `*_into` entry point appends.
+fn collect(call: impl FnOnce(&mut Vec<MacAction<u32>>)) -> Vec<MacAction<u32>> {
+    let mut out = Vec::new();
+    call(&mut out);
+    out
+}
+
 /// Drive one SetTimer action to expiry, returning follow-up actions.
 fn fire(mac: &mut TMac, actions: &[MacAction<u32>], now: SimTime) -> Vec<MacAction<u32>> {
     for a in actions {
         if let MacAction::SetTimer { kind, .. } = a {
-            return mac.timer_fired(*kind, now);
+            return collect(|out| mac.timer_fired_into(*kind, now, out));
         }
     }
     panic!("no timer among actions: {actions:?}");
@@ -48,7 +55,7 @@ fn has_tx(actions: &[MacAction<u32>]) -> bool {
 fn fresh_frame_idle_medium_txs_after_difs() {
     let mut mac = mk(0);
     let f = data(&mut mac, Dest::Broadcast, 9);
-    let a1 = mac.enqueue(f, t(0));
+    let a1 = collect(|out| mac.enqueue_into(f, t(0), out));
     assert!(matches!(
         a1[0],
         MacAction::SetTimer {
@@ -64,10 +71,10 @@ fn fresh_frame_idle_medium_txs_after_difs() {
 fn broadcast_completes_without_ack() {
     let mut mac = mk(0);
     let f = data(&mut mac, Dest::Broadcast, 1);
-    let a1 = mac.enqueue(f, t(0));
+    let a1 = collect(|out| mac.enqueue_into(f, t(0), out));
     let a2 = fire(&mut mac, &a1, t(50));
     assert!(has_tx(&a2));
-    let a3 = mac.tx_ended(t(466));
+    let a3 = collect(|out| mac.tx_ended_into(t(466), out));
     assert!(a3
         .iter()
         .any(|a| matches!(a, MacAction::TxDone { frame, attempts: 1 } if frame.id == f.id)));
@@ -79,11 +86,11 @@ fn unicast_waits_for_ack_then_succeeds() {
     let mut sender = mk(0);
     let mut receiver = mk(1);
     let f = data(&mut sender, Dest::Unicast(NodeId::new(1)), 7);
-    let a1 = sender.enqueue(f, t(0));
+    let a1 = collect(|out| sender.enqueue_into(f, t(0), out));
     let a2 = fire(&mut sender, &a1, t(50));
     assert!(has_tx(&a2));
     // Frame lands at receiver.
-    let a3 = receiver.frame_arrived(f, t(466));
+    let a3 = collect(|out| receiver.frame_arrived_into(f, t(466), out));
     assert!(a3
         .iter()
         .any(|a| matches!(a, MacAction::Deliver { frame } if frame.payload == 7)));
@@ -98,12 +105,12 @@ fn unicast_waits_for_ack_then_succeeds() {
         .expect("ack tx");
     assert_eq!(ack.kind, FrameKind::Ack(f.id));
     // Sender finished its data tx, is waiting for the ACK...
-    let _ = sender.tx_ended(t(466));
-    let a5 = sender.frame_arrived(ack, t(588));
+    let _ = collect(|out| sender.tx_ended_into(t(466), out));
+    let a5 = collect(|out| sender.frame_arrived_into(ack, t(588), out));
     assert!(a5
         .iter()
         .any(|a| matches!(a, MacAction::TxDone { attempts: 1, .. })));
-    let _ = receiver.tx_ended(t(588));
+    let _ = collect(|out| receiver.tx_ended_into(t(588), out));
     assert!(sender.is_quiescent());
     assert!(receiver.is_quiescent());
     assert_eq!(sender.stats().delivered, 1);
@@ -114,10 +121,10 @@ fn unicast_waits_for_ack_then_succeeds() {
 fn ack_timeout_triggers_retry_with_wider_cw() {
     let mut mac = mk(0);
     let f = data(&mut mac, Dest::Unicast(NodeId::new(1)), 7);
-    let a1 = mac.enqueue(f, t(0));
+    let a1 = collect(|out| mac.enqueue_into(f, t(0), out));
     let a2 = fire(&mut mac, &a1, t(50));
     assert!(has_tx(&a2));
-    let a3 = mac.tx_ended(t(466));
+    let a3 = collect(|out| mac.tx_ended_into(t(466), out));
     // AckTimeout armed.
     let a4 = fire(&mut mac, &a3, t(700));
     // Retry: DIFS timer armed again (medium idle).
@@ -150,7 +157,7 @@ fn ack_timeout_triggers_retry_with_wider_cw() {
 fn frame_dropped_after_retry_limit() {
     let mut mac = mk(0);
     let f = data(&mut mac, Dest::Unicast(NodeId::new(1)), 7);
-    let mut actions = mac.enqueue(f, t(0));
+    let mut actions = collect(|out| mac.enqueue_into(f, t(0), out));
     let mut now = t(0);
     let mut failed = false;
     // Walk the machine through enough retries to exhaust the limit.
@@ -160,13 +167,15 @@ fn frame_dropped_after_retry_limit() {
             .iter()
             .find(|a| matches!(a, MacAction::SetTimer { .. }))
         {
-            Some(MacAction::SetTimer { kind, .. }) => mac.timer_fired(*kind, now),
+            Some(MacAction::SetTimer { kind, .. }) => {
+                collect(|out| mac.timer_fired_into(*kind, now, out))
+            }
             _ => {
                 if actions
                     .iter()
                     .any(|a| matches!(a, MacAction::StartTx { .. }))
                 {
-                    mac.tx_ended(now)
+                    collect(|out| mac.tx_ended_into(now, out))
                 } else {
                     break;
                 }
@@ -191,9 +200,9 @@ fn busy_medium_defers_then_backoff() {
     let mut mac = mk(0);
     mac.carrier_busy(t(0));
     let f = data(&mut mac, Dest::Broadcast, 1);
-    let a1 = mac.enqueue(f, t(1));
+    let a1 = collect(|out| mac.enqueue_into(f, t(1), out));
     assert!(a1.is_empty(), "no access while busy");
-    let a2 = mac.carrier_idle(t(1000));
+    let a2 = collect(|out| mac.carrier_idle_into(t(1000), out));
     // DIFS first...
     assert!(a2.iter().any(|a| matches!(
         a,
@@ -223,8 +232,8 @@ fn backoff_freezes_and_resumes() {
     let mut mac = mk(3);
     mac.carrier_busy(t(0));
     let f = data(&mut mac, Dest::Broadcast, 1);
-    let _ = mac.enqueue(f, t(1));
-    let a2 = mac.carrier_idle(t(100));
+    let _ = collect(|out| mac.enqueue_into(f, t(1), out));
+    let a2 = collect(|out| mac.carrier_idle_into(t(100), out));
     let a3 = fire(&mut mac, &a2, t(150));
     let backoff = a3.iter().find_map(|a| match a {
         MacAction::SetTimer {
@@ -249,7 +258,7 @@ fn backoff_freezes_and_resumes() {
         "whole slots"
     );
     // Idle again: DIFS, then the remainder (not a fresh draw).
-    let a4 = mac.carrier_idle(t(5000));
+    let a4 = collect(|out| mac.carrier_idle_into(t(5000), out));
     let a5 = fire(&mut mac, &a4, t(5050));
     let resumed = a5.iter().find_map(|a| match a {
         MacAction::SetTimer {
@@ -267,14 +276,14 @@ fn duplicate_data_is_reacked_but_delivered_once() {
     let mut rx = mk(1);
     let mut sender = mk(0);
     let f = data(&mut sender, Dest::Unicast(NodeId::new(1)), 42);
-    let a1 = rx.frame_arrived(f, t(0));
+    let a1 = collect(|out| rx.frame_arrived_into(f, t(0), out));
     assert!(a1.iter().any(|a| matches!(a, MacAction::Deliver { .. })));
     // Drive the first ACK out.
     let a2 = fire(&mut rx, &a1, t(10));
     assert!(has_tx(&a2));
-    let _ = rx.tx_ended(t(122));
+    let _ = collect(|out| rx.tx_ended_into(t(122), out));
     // Retransmission of the same frame.
-    let a3 = rx.frame_arrived(f, t(1000));
+    let a3 = collect(|out| rx.frame_arrived_into(f, t(1000), out));
     assert!(
         !a3.iter().any(|a| matches!(a, MacAction::Deliver { .. })),
         "duplicate must not be delivered"
@@ -290,7 +299,7 @@ fn overheard_unicast_not_delivered() {
     let mut mac = mk(2);
     let mut sender = mk(0);
     let f = data(&mut sender, Dest::Unicast(NodeId::new(1)), 5);
-    let a = mac.frame_arrived(f, t(0));
+    let a = collect(|out| mac.frame_arrived_into(f, t(0), out));
     assert!(a.is_empty());
 }
 
@@ -298,11 +307,11 @@ fn overheard_unicast_not_delivered() {
 fn suspend_retains_queue_and_resumes() {
     let mut mac = mk(0);
     let f = data(&mut mac, Dest::Broadcast, 1);
-    let _ = mac.enqueue(f, t(0));
+    let _ = collect(|out| mac.enqueue_into(f, t(0), out));
     mac.radio_slept(t(10));
     assert!(!mac.is_quiescent(), "frame still queued");
     assert_eq!(mac.queue_len(), 1);
-    let a = mac.radio_woke(t(1000), false);
+    let a = collect(|out| mac.radio_woke_into(t(1000), false, out));
     assert!(a.iter().any(|a| matches!(
         a,
         MacAction::SetTimer {
@@ -318,7 +327,7 @@ fn disarm_surrenders_handle_for_cancellation() {
     let mut q: EventQueue<()> = EventQueue::new();
     let mut mac = mk(0);
     let f = data(&mut mac, Dest::Broadcast, 1);
-    let a1 = mac.enqueue(f, t(0)); // arms DIFS
+    let a1 = collect(|out| mac.enqueue_into(f, t(0), out)); // arms DIFS
     let MacAction::SetTimer { kind, after } = a1[0] else {
         panic!("expected timer");
     };
@@ -335,7 +344,7 @@ fn disarm_surrenders_handle_for_cancellation() {
     assert!(q.cancel(surrendered));
     assert!(q.is_empty());
     // Defensive: a late expiry (protocol violated) is still a no-op.
-    assert!(mac.timer_fired(kind, t(50)).is_empty());
+    assert!(collect(|out| mac.timer_fired_into(kind, t(50), out)).is_empty());
 }
 
 #[test]
@@ -344,7 +353,7 @@ fn arm_superseded_before_scheduling_returns_own_handle() {
     let mut q: EventQueue<()> = EventQueue::new();
     let mut mac = mk(0);
     let f = data(&mut mac, Dest::Broadcast, 1);
-    let a1 = mac.enqueue(f, t(0));
+    let a1 = collect(|out| mac.enqueue_into(f, t(0), out));
     let MacAction::SetTimer { kind, after } = a1[0] else {
         panic!("expected timer");
     };
@@ -363,7 +372,7 @@ fn rearm_displaces_previous_handle() {
     let mut q: EventQueue<()> = EventQueue::new();
     let mut mac = mk(0);
     let f = data(&mut mac, Dest::Broadcast, 1);
-    let a1 = mac.enqueue(f, t(0));
+    let a1 = collect(|out| mac.enqueue_into(f, t(0), out));
     let MacAction::SetTimer { kind, after } = a1[0] else {
         panic!("expected timer");
     };
@@ -373,7 +382,7 @@ fn rearm_displaces_previous_handle() {
     // and the new arm's handle takes its place cleanly.
     mac.carrier_busy(t(10));
     assert_eq!(mac.pop_cancelled(), Some(first));
-    let a2 = mac.carrier_idle(t(100));
+    let a2 = collect(|out| mac.carrier_idle_into(t(100), out));
     let MacAction::SetTimer { kind, after } = a2[0] else {
         panic!("expected re-armed timer");
     };
@@ -388,7 +397,7 @@ fn quiescence_reflects_pending_work() {
     let mut mac = mk(0);
     assert!(mac.is_quiescent());
     let f = data(&mut mac, Dest::Broadcast, 1);
-    let _ = mac.enqueue(f, t(0));
+    let _ = collect(|out| mac.enqueue_into(f, t(0), out));
     assert!(!mac.is_quiescent());
 }
 
@@ -410,7 +419,7 @@ fn ack_note_rides_on_next_ack_and_is_delivered() {
     let f = data(&mut sender, Dest::Unicast(NodeId::new(1)), 5);
     // Receiver sees the data frame; upper layer primes a note during
     // the Deliver (before the SIFS-delayed ACK is built).
-    let a1 = rx.frame_arrived(f, t(0));
+    let a1 = collect(|out| rx.frame_arrived_into(f, t(0), out));
     assert!(a1.iter().any(|a| matches!(a, MacAction::Deliver { .. })));
     rx.prime_ack_note(NodeId::new(0), 77u32);
     let a2 = fire(&mut rx, &a1, t(10));
@@ -423,14 +432,14 @@ fn ack_note_rides_on_next_ack_and_is_delivered() {
         .expect("ack goes out");
     assert_eq!(ack.kind, FrameKind::Ack(f.id));
     assert_eq!(ack.payload, 77, "note rides on the ACK");
-    let _ = rx.tx_ended(t(122)); // the ACK leaves the air
-                                 // The original sender (waiting for this ACK) both completes its
-                                 // frame AND sees the note delivered upward.
-    let e1 = sender.enqueue(f, t(100)); // reconstruct WaitAck state
+    let _ = collect(|out| rx.tx_ended_into(t(122), out)); // the ACK leaves the air
+                                                          // The original sender (waiting for this ACK) both completes its
+                                                          // frame AND sees the note delivered upward.
+    let e1 = collect(|out| sender.enqueue_into(f, t(100), out)); // reconstruct WaitAck state
     let e2 = fire(&mut sender, &e1, t(150));
     assert!(has_tx(&e2));
-    let _ = sender.tx_ended(t(566));
-    let out = sender.frame_arrived(ack, t(700));
+    let _ = collect(|out| sender.tx_ended_into(t(566), out));
+    let out = collect(|out| sender.frame_arrived_into(ack, t(700), out));
     assert!(out.iter().any(|a| matches!(a, MacAction::TxDone { .. })));
     assert!(
         out.iter()
@@ -446,7 +455,7 @@ fn ack_note_rides_on_next_ack_and_is_delivered() {
         bytes: 52,
         payload: 1u32,
     };
-    let b1 = rx.frame_arrived(f2, t(2000));
+    let b1 = collect(|out| rx.frame_arrived_into(f2, t(2000), out));
     let b2 = fire(&mut rx, &b1, t(2010));
     let ack2 = b2
         .iter()
@@ -470,5 +479,5 @@ fn enqueue_rejects_acks() {
         bytes: ACK_BYTES,
         payload: 0u32,
     };
-    let _ = mac.enqueue(ack, t(0));
+    let _ = collect(|out| mac.enqueue_into(ack, t(0), out));
 }

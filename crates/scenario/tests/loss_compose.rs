@@ -8,7 +8,7 @@
 //! The contract now is composition: a frame copy is lost if the model
 //! drops it **or** the baseline random loss fires.
 
-use essat_net::channel::Channel;
+use essat_net::channel::{Channel, TxEndBuf};
 use essat_net::ids::NodeId;
 use essat_net::topology::Topology;
 use essat_scenario::gilbert::{GilbertElliott, GilbertElliottParams};
@@ -38,17 +38,15 @@ fn baseline_drop_probability_survives_an_installed_model() {
     ch.set_loss_model(Box::new(never_dropping_links(2)));
     let trials = 2_000u64;
     let mut dropped = 0u64;
+    let mut end = TxEndBuf::default();
     for i in 0..trials {
         let t0 = SimTime::from_micros(i * 1_000);
         let tx = ch.begin_tx(t0, NodeId::new(0), SimDuration::from_micros(416));
-        let end = ch.end_tx(t0 + SimDuration::from_micros(416), tx.id);
-        if end.corrupted_receivers.contains(&NodeId::new(1)) {
+        ch.end_tx_into(t0 + SimDuration::from_micros(416), tx.id, &mut end);
+        if end.corrupted().contains(&NodeId::new(1)) {
             dropped += 1;
         }
         ch.recycle_nodes(tx.now_busy);
-        ch.recycle_nodes(end.clean_receivers);
-        ch.recycle_nodes(end.corrupted_receivers);
-        ch.recycle_nodes(end.now_idle);
     }
     let frac = dropped as f64 / trials as f64;
     assert!(
@@ -77,12 +75,13 @@ fn bursty_bad_state_composes_with_baseline() {
     let ge = GilbertElliott::new(2, params, SimRng::seed_from_u64(5));
     ch.set_loss_model(Box::new(ge));
     let mut all_dropped = true;
+    let mut end = TxEndBuf::default();
     for i in 0..200u64 {
         // Well past any initial good sojourn (microseconds long).
         let t0 = SimTime::from_micros(1_000_000 + i * 1_000);
         let tx = ch.begin_tx(t0, NodeId::new(0), SimDuration::from_micros(416));
-        let end = ch.end_tx(t0 + SimDuration::from_micros(416), tx.id);
-        all_dropped &= end.corrupted_receivers.contains(&NodeId::new(1));
+        ch.end_tx_into(t0 + SimDuration::from_micros(416), tx.id, &mut end);
+        all_dropped &= end.corrupted().contains(&NodeId::new(1));
     }
     assert!(all_dropped, "certain bad-state loss must drop every copy");
     // Baseline-only behaviour returns once the model is cleared.
@@ -92,8 +91,8 @@ fn bursty_bad_state_composes_with_baseline() {
     for i in 0..trials {
         let t0 = SimTime::from_micros(10_000_000 + i * 1_000);
         let tx = ch.begin_tx(t0, NodeId::new(0), SimDuration::from_micros(416));
-        let end = ch.end_tx(t0 + SimDuration::from_micros(416), tx.id);
-        if end.corrupted_receivers.contains(&NodeId::new(1)) {
+        ch.end_tx_into(t0 + SimDuration::from_micros(416), tx.id, &mut end);
+        if end.corrupted().contains(&NodeId::new(1)) {
             dropped += 1;
         }
     }

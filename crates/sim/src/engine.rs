@@ -49,7 +49,7 @@
 //! assert_eq!(engine.now(), SimTime::from_millis(40));
 //! ```
 
-use crate::queue::{BatchEntry, EventId, EventQueue};
+use crate::queue::{EventId, EventQueue};
 use crate::time::{SimDuration, SimTime};
 
 /// World state driven by the engine.
@@ -140,9 +140,6 @@ pub struct Engine<M: Model> {
     queue: EventQueue<M::Event>,
     model: M,
     processed: u64,
-    /// Reusable batch-drain buffer for the bounded-run loops: one wheel
-    /// bucket's worth of ordering handles at a time.
-    batch: Vec<BatchEntry>,
 }
 
 impl<M: Model> Engine<M> {
@@ -166,7 +163,6 @@ impl<M: Model> Engine<M> {
             queue,
             model,
             processed: 0,
-            batch: Vec::new(),
         }
     }
 
@@ -242,7 +238,7 @@ impl<M: Model> Engine<M> {
 
     /// Advances the clock to `time` and hands `event` to the model —
     /// the single dispatch path shared by [`Engine::step`] and
-    /// [`Engine::run_until`].
+    /// [`Engine::run_until_capped`].
     fn dispatch(&mut self, time: SimTime, id: EventId, event: M::Event) {
         debug_assert!(time >= self.now, "event queue violated monotonicity");
         self.now = time;
@@ -276,43 +272,13 @@ impl<M: Model> Engine<M> {
         self.processed - before
     }
 
-    /// Merges any events that sorted ahead of the unclaimed batch entry
-    /// `e` (pushed into the current bucket after the batch was drained)
-    /// back into the dispatch order, then claims and dispatches `e` itself
-    /// if it is still live.
-    #[inline]
-    fn dispatch_batch_entry(&mut self, e: BatchEntry) {
-        if self.queue.batch_dirty() {
-            while let Some((time, id, event)) = self.queue.pop_before_entry(e) {
-                self.dispatch(time, id, event);
-            }
-        }
-        if let Some(event) = self.queue.claim(e) {
-            self.dispatch(e.time(), e.id(), event);
-        }
-    }
-
     /// Runs events with fire time `<= deadline`, then advances the clock
     /// to exactly `deadline` (even if the queue still holds later events).
-    ///
-    /// Drains the queue one sorted wheel bucket at a time instead of one
-    /// cursor pass per event; liveness is re-validated per entry at
-    /// dispatch, so a handler cancelling a later event in the same
-    /// drained bucket still suppresses it.
     ///
     /// Returns the number of events processed by this call.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let before = self.processed;
-        let mut buf = std::mem::take(&mut self.batch);
-        while self.queue.pop_batch_before(deadline, &mut buf) != 0 {
-            for &e in &buf {
-                self.dispatch_batch_entry(e);
-            }
-        }
-        self.batch = buf;
-        if self.now < deadline {
-            self.now = deadline;
-        }
+        self.run_until_capped(deadline, u64::MAX);
         self.processed - before
     }
 
@@ -333,51 +299,20 @@ impl<M: Model> Engine<M> {
     /// stays at the last processed event). The deterministic runaway
     /// guard for sweep jobs: the same `(model, seed, budget)` either
     /// always completes or always trips, independent of wall clock.
-    /// Budget accounting stays per-event under batch draining: when the
-    /// budget runs out mid-bucket, the unclaimed remainder of the batch
-    /// is re-filed with original sequence numbers, so those events stay
-    /// pending in their exact total-order positions.
+    /// A budget spent exactly on the last live event before the deadline
+    /// completes the run, even if cancelled entries still sit before it.
     pub fn run_until_capped(&mut self, deadline: SimTime, budget: u64) -> bool {
         let mut ran = 0u64;
-        let mut buf = std::mem::take(&mut self.batch);
-        while self.queue.pop_batch_before(deadline, &mut buf) != 0 {
-            for i in 0..buf.len() {
-                let e = buf[i];
-                if self.queue.batch_dirty() {
-                    while ran < budget {
-                        match self.queue.pop_before_entry(e) {
-                            Some((time, id, event)) => {
-                                self.dispatch(time, id, event);
-                                ran += 1;
-                            }
-                            None => break,
-                        }
-                    }
-                }
-                if ran >= budget {
-                    // Give the unclaimed tail back (stale entries are
-                    // dropped), then report exhaustion only if a live
-                    // event at or before the deadline actually remains —
-                    // the tail may have been entirely cancelled.
-                    self.queue.requeue_batch(&buf[i..]);
-                    self.batch = buf;
-                    match self.queue.peek_time() {
-                        Some(t) if t <= deadline => return false,
-                        _ => {
-                            if self.now < deadline {
-                                self.now = deadline;
-                            }
-                            return true;
-                        }
-                    }
-                }
-                if let Some(event) = self.queue.claim(e) {
-                    self.dispatch(e.time(), e.id(), event);
-                    ran += 1;
-                }
-            }
+        while ran < budget {
+            let Some((time, id, event)) = self.queue.pop_before(deadline) else {
+                break;
+            };
+            self.dispatch(time, id, event);
+            ran += 1;
         }
-        self.batch = buf;
+        if ran == budget && self.queue.peek_time().is_some_and(|t| t <= deadline) {
+            return false;
+        }
         if self.now < deadline {
             self.now = deadline;
         }
@@ -474,24 +409,22 @@ mod tests {
         assert!(e.model().log.is_empty());
     }
 
-    /// A wheel-bucket-aligned instant: events within `WIDTH_NS` of it
-    /// land in the same drained batch.
+    /// An instant ≈10 ms into a 2^16 ns wheel bucket that still has
+    /// 16.384 µs of room after it: every offset these tests add lands in
+    /// the bucket the queue cursor is draining.
     fn bucket_start() -> SimTime {
-        // 611 × the 2^14 ns bucket width ≈ 10 ms.
         SimTime::from_nanos(611 << 14)
     }
 
     #[test]
-    fn cancel_later_same_bucket_event_from_drained_batch() {
-        // Regression: batch draining hands the engine a whole sorted
-        // bucket at once, but liveness must be re-validated per entry —
-        // an event dispatched from the batch that cancels a later entry
-        // of the *same* bucket (even at the very same instant) still
-        // suppresses it.
+    fn cancel_later_same_bucket_event() {
+        // Regression: an event that cancels a later entry of the *same*
+        // wheel bucket (even at the very same instant) suppresses it,
+        // although the bucket is already sorted and being drained.
         let mut e = Engine::new(Recorder::default());
         let t = bucket_start();
         e.schedule_at(t, Ev::CancelOther);
-        // Same instant, later seq — drained into the same batch.
+        // Same instant, later seq.
         let v1 = e.schedule_at(t, Ev::Mark(1));
         // Same bucket, strictly later time.
         let v2 = e.schedule_at(t + SimDuration::from_nanos(8_192), Ev::Mark(2));
@@ -503,16 +436,16 @@ mod tests {
     }
 
     #[test]
-    fn disarm_rearm_against_drained_batch_suppresses_and_replaces() {
+    fn disarm_rearm_in_draining_bucket_suppresses_and_replaces() {
         // Regression for the cancel-on-disarm timer path: a handler
-        // cancels a pending timer that was *already drained into the
-        // current batch* (same bucket, later seq) and immediately
-        // re-arms a replacement. The cancelled entry must not fire and
-        // the replacement must fire at its own (time, seq) position —
-        // the exact shape a MAC disarm/re-arm produces.
+        // cancels a pending timer in the bucket being drained (same
+        // bucket, later seq) and immediately re-arms a replacement. The
+        // cancelled entry must not fire and the replacement must fire at
+        // its own (time, seq) position — the exact shape a MAC
+        // disarm/re-arm produces.
         let mut e = Engine::new(Recorder::default());
         let t = bucket_start();
-        // The "armed timer", drained into the same batch as the disarm.
+        // The "armed timer", in the same bucket as the disarm.
         let armed = e.schedule_at(t + SimDuration::from_nanos(200), Ev::Mark(1));
         e.model_mut().cancel_targets = vec![armed];
         e.schedule_at(
@@ -539,8 +472,8 @@ mod tests {
     #[test]
     fn rearm_into_currently_draining_bucket_fires_in_order() {
         // A replacement timer pushed into the wheel bucket that is being
-        // drained right now must be merged into dispatch order via the
-        // dirty-batch path, while a pre-drain cancel stays suppressed.
+        // drained right now must take its sorted place in dispatch order,
+        // while a pre-drain cancel stays suppressed.
         let mut e = Engine::new(Recorder::default());
         let t = bucket_start();
         let seed = e.schedule_at(
@@ -565,10 +498,9 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_mid_bucket_leaves_tail_pending() {
-        // Regression: `run_until_capped` accounting stays per-event
-        // under batch draining. Exhaustion midway through a drained
-        // bucket re-files the unclaimed tail, which then runs — in
-        // order — on the next call.
+        // Regression: `run_until_capped` accounting is per event.
+        // Exhaustion midway through a bucket leaves the rest of it
+        // pending, and it runs — in order — on the next call.
         let mut e = Engine::new(Recorder::default());
         let t = bucket_start();
         for i in 0..5u64 {
@@ -581,6 +513,26 @@ mod tests {
         let marks: Vec<u32> = e.model().log.iter().map(|&(_, n)| n).collect();
         assert_eq!(marks, vec![0, 1, 2, 3, 4]);
         assert_eq!(e.now(), SimTime::from_secs(1));
+    }
+
+    #[test]
+    fn budget_spent_on_last_live_event_completes_at_deadline() {
+        // The budget runs out exactly on the last live event before the
+        // deadline; only a cancelled entry (and an event past the
+        // deadline) remains, so the run completes rather than tripping.
+        let mut e = Engine::new(Recorder::default());
+        let t = bucket_start();
+        e.schedule_at(t, Ev::Mark(0));
+        e.schedule_at(t + SimDuration::from_nanos(100), Ev::CancelOther);
+        let victim = e.schedule_at(t + SimDuration::from_nanos(200), Ev::Mark(1));
+        e.model_mut().cancel_targets = vec![victim];
+        e.schedule_at(SimTime::from_secs(2), Ev::Mark(2));
+        assert!(e.run_until_capped(SimTime::from_secs(1), 2));
+        assert_eq!(e.now(), SimTime::from_secs(1));
+        assert_eq!(e.processed(), 2);
+        let marks: Vec<u32> = e.model().log.iter().map(|&(_, n)| n).collect();
+        assert_eq!(marks, vec![0]);
+        assert_eq!(e.pending(), 1, "only the post-deadline event stays queued");
     }
 
     #[test]

@@ -400,15 +400,13 @@ mod wheel_vs_reference {
             }
         }
 
-        /// Differential test of the batch-drain protocol (the exact
-        /// consumption loop the engine runs: `pop_batch_before`, then
-        /// per entry a dirty-merge via `pop_before_entry` followed by
-        /// `claim`) against the reference heap, with mid-drain pushes
-        /// into the current bucket, far-future pushes whose overflow
-        /// entries must migrate across batch boundaries, and cancels of
-        /// not-yet-claimed batch entries.
+        /// Differential test of the engine's consumption loop
+        /// (`pop_before(deadline)`, one dispatch at a time) against the
+        /// reference heap, with pushes into the bucket being drained,
+        /// far-future pushes whose overflow entries must migrate back
+        /// into the wheel, and cancels played between dispatches.
         #[test]
-        fn batch_drain_matches_reference(
+        fn pop_before_matches_reference(
             initial in proptest::collection::vec(
                 prop_oneof![0u64..20_000, 0u64..5_000_000, 0u64..150_000_000],
                 1..150,
@@ -426,58 +424,49 @@ mod wheel_vs_reference {
             }
             let mut script = script.into_iter();
             let deadline = SimTime::from_nanos(2_000_000_000);
-            let mut buf = Vec::new();
-            while q.pop_batch_before(deadline, &mut buf) != 0 {
-                for &e in &buf {
-                    // One scripted interference op per batch entry,
-                    // played *between* dispatches like a handler would.
-                    match script.next() {
-                        Some((0, dt, _)) => {
-                            // Near push: often lands in the bucket being
-                            // consumed and must merge into dispatch order.
-                            let t = e.time().as_nanos() + dt % 4_096;
-                            ids.push(q.push(SimTime::from_nanos(t), payload));
-                            r.push(t, payload);
-                            payload += 1;
-                        }
-                        Some((1, dt, _)) => {
-                            // Far push: lands in the overflow heap and
-                            // must migrate back as later batches drain.
-                            let t = e.time().as_nanos() + 100_000_000 + dt;
-                            ids.push(q.push(SimTime::from_nanos(t), payload));
-                            r.push(t, payload);
-                            payload += 1;
-                        }
-                        Some((_, _, pick)) if !ids.is_empty() => {
-                            let id = ids[pick as usize % ids.len()];
-                            prop_assert_eq!(
-                                q.cancel(id),
-                                r.cancel(id.as_u64()),
-                                "cancel outcome diverged"
-                            );
-                        }
-                        _ => {}
+            while let Some((t, _, p)) = q.pop_before(deadline) {
+                prop_assert_eq!(Some((t.as_nanos(), p)), r.pop(), "dispatch order diverged");
+                // One scripted interference op per dispatch, played
+                // *between* dispatches like a handler would.
+                match script.next() {
+                    Some((0, dt, _)) => {
+                        // Near push: often lands in the bucket being
+                        // drained and must take its sorted place there.
+                        let t = t.as_nanos() + dt % 4_096;
+                        ids.push(q.push(SimTime::from_nanos(t), payload));
+                        r.push(t, payload);
+                        payload += 1;
                     }
-                    if q.batch_dirty() {
-                        while let Some((t, _, p)) = q.pop_before_entry(e) {
-                            prop_assert_eq!(
-                                Some((t.as_nanos(), p)),
-                                r.pop(),
-                                "mid-drain intruder order diverged"
-                            );
-                        }
+                    Some((1, dt, _)) => {
+                        // Far push: lands in the overflow heap and must
+                        // migrate back as the cursor advances.
+                        let t = t.as_nanos() + 100_000_000 + dt;
+                        ids.push(q.push(SimTime::from_nanos(t), payload));
+                        r.push(t, payload);
+                        payload += 1;
                     }
-                    if let Some(p) = q.claim(e) {
+                    Some((_, _, pick)) if !ids.is_empty() => {
+                        let id = ids[pick as usize % ids.len()];
                         prop_assert_eq!(
-                            Some((e.time().as_nanos(), p)),
-                            r.pop(),
-                            "batch dispatch order diverged"
+                            q.cancel(id),
+                            r.cancel(id.as_u64()),
+                            "cancel outcome diverged"
                         );
                     }
+                    _ => {}
                 }
             }
-            prop_assert!(q.is_empty(), "wheel retains events past the drain");
-            prop_assert_eq!(r.pop(), None, "reference retains events the wheel dropped");
+            // Whatever survives fires after the deadline, in the same order.
+            loop {
+                let got = q.pop().map(|(t, _, p)| (t.as_nanos(), p));
+                if let Some((t, _)) = got {
+                    prop_assert!(t > deadline.as_nanos(), "pop_before stopped early");
+                }
+                prop_assert_eq!(got, r.pop(), "post-deadline order diverged");
+                if got.is_none() {
+                    break;
+                }
+            }
         }
 
         /// Differential test of the true-cancellation timer protocol

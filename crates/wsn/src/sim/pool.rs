@@ -11,9 +11,9 @@
 //!
 //! [`WorldScratch`] fixes (1): a sweep worker keeps one scratch per
 //! thread and threads it through
-//! [`World::run_pooled`](super::world::World::run_pooled), which adopts
-//! the warmed allocations at construction and salvages them at
-//! finalise. [`BuildCache`] fixes (2): a lock-guarded map from the
+//! [`World::run_instrumented`](super::world::World::run_instrumented),
+//! which adopts the warmed allocations at construction and salvages
+//! them at finalise. [`BuildCache`] fixes (2): a lock-guarded map from the
 //! build inputs to an [`Arc`]-shared immutable `Prebuilt` block
 //! (topology + pristine routing tree + channel CSR adjacency). Runs
 //! clone the cheap mutable tree from the pristine copy and share the
@@ -50,7 +50,7 @@ use crate::payload::Payload;
 /// same thread can reuse — the event-queue slab and wheel buckets, the
 /// channel's receiver/corruption buffer pools, the policy- and
 /// MAC-action buffers, and the tree-view child buffers. See
-/// [`World::run_pooled`](super::world::World::run_pooled).
+/// [`World::run_instrumented`](super::world::World::run_instrumented).
 #[derive(Debug, Default)]
 pub struct WorldScratch {
     pub(crate) queue: EventQueue<Ev>,

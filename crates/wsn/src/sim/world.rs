@@ -182,29 +182,23 @@ impl World {
     /// Builds the world and the initial event list for `cfg`, with the
     /// default policy factory ([`Protocol::build_policy`]).
     pub fn new(cfg: ExperimentConfig) -> (World, Vec<(SimTime, Ev)>) {
-        Self::new_with(cfg, &Protocol::build_policy)
-    }
-
-    /// Builds the world with a custom policy factory — the plugin seam:
-    /// the factory is consulted once per node and may return any
-    /// [`essat_core::policy::PowerPolicy`] implementation, including
-    /// ones defined outside this workspace.
-    pub fn new_with(
-        cfg: ExperimentConfig,
-        factory: &PolicyFactory<'_>,
-    ) -> (World, Vec<(SimTime, Ev)>) {
         let mut initial = Vec::new();
-        let world = World::new_prebuilt(cfg, factory, None, &mut initial, NullProbe);
+        let world =
+            World::new_prebuilt(cfg, &Protocol::build_policy, None, &mut initial, NullProbe);
         (world, initial)
     }
 }
 
 impl<P: Probe> World<P> {
-    /// [`World::new_with`] over an optional cached build block,
-    /// appending the initial event list to a caller-recycled buffer —
-    /// the sweep executor's construction path. The probe is installed
-    /// before any event runs (and told about the scenario's scripted
-    /// clock glitches, which are compiled ahead of time).
+    /// Builds the world with the policy `factory` over an optional
+    /// cached build block, appending the initial event list to a
+    /// caller-recycled buffer — the run path's construction step. The
+    /// factory is the plugin seam: it is consulted once per node and
+    /// may return any [`essat_core::policy::PowerPolicy`]
+    /// implementation, including ones defined outside this workspace.
+    /// The probe is installed before any event runs (and told about the
+    /// scenario's scripted clock glitches, which are compiled ahead of
+    /// time).
     pub(crate) fn new_prebuilt(
         cfg: ExperimentConfig,
         factory: &PolicyFactory<'_>,
@@ -473,54 +467,18 @@ impl World {
     /// Runs a full experiment with a custom policy factory.
     pub fn run_with(cfg: &ExperimentConfig, factory: &PolicyFactory<'_>) -> RunResult {
         let mut scratch = WorldScratch::new();
-        Self::run_pooled(cfg, factory, None, &mut scratch)
-    }
-
-    /// Runs a full experiment recycling a worker's scratch allocations
-    /// across calls and (optionally) sharing immutable build products
-    /// through a [`BuildCache`] — the sweep executor's hot path. The
-    /// result is byte-identical to [`World::run_with`] (pinned by
-    /// `tests/determinism.rs`); only the allocator traffic differs.
-    pub fn run_pooled(
-        cfg: &ExperimentConfig,
-        factory: &PolicyFactory<'_>,
-        cache: Option<&BuildCache>,
-        scratch: &mut WorldScratch,
-    ) -> RunResult {
-        Self::run_pooled_capped(cfg, factory, cache, scratch, None)
-            .expect("uncapped run cannot exhaust a budget")
-    }
-
-    /// [`World::run_pooled`] under a deterministic event budget: the
-    /// run is abandoned (returning `None`) once it has processed
-    /// `budget` events without reaching the configured duration. The
-    /// sweep executor's runaway guard — an event count, not a wall
-    /// clock, so the same job trips (or doesn't) identically on every
-    /// machine and thread count.
-    pub fn run_pooled_capped(
-        cfg: &ExperimentConfig,
-        factory: &PolicyFactory<'_>,
-        cache: Option<&BuildCache>,
-        scratch: &mut WorldScratch,
-        budget: Option<u64>,
-    ) -> Option<RunResult> {
         let mut timings = RunTimings::default();
-        Self::run_pooled_timed(cfg, factory, cache, scratch, budget, &mut timings)
-    }
-
-    /// [`World::run_pooled_capped`], accumulating per-phase wall-clock
-    /// timings (build / run / finalize) into `timings` — the executor's
-    /// profiling path. The timings are measurement only; they never
-    /// influence the run.
-    pub fn run_pooled_timed(
-        cfg: &ExperimentConfig,
-        factory: &PolicyFactory<'_>,
-        cache: Option<&BuildCache>,
-        scratch: &mut WorldScratch,
-        budget: Option<u64>,
-        timings: &mut RunTimings,
-    ) -> Option<RunResult> {
-        World::run_instrumented(cfg, factory, cache, scratch, budget, NullProbe, timings).0
+        World::run_instrumented(
+            cfg,
+            factory,
+            None,
+            &mut scratch,
+            None,
+            NullProbe,
+            &mut timings,
+        )
+        .0
+        .expect("uncapped run cannot exhaust a budget")
     }
 
     /// Deterministic synthetic sensor reading.
@@ -533,13 +491,25 @@ impl World {
 }
 
 impl<P: Probe> World<P> {
-    /// The fully general run path: [`World::run_pooled_capped`] with an
-    /// attached probe and per-phase wall-clock timing. Returns the
-    /// probe so callers can drain what it recorded; the result is
-    /// `None` only when an event budget was exhausted.
+    /// The fully general run path, and the one every other run entry
+    /// point goes through.
     ///
-    /// The result is byte-identical for every probe (including
-    /// [`NullProbe`]) — probes observe, they cannot perturb.
+    /// * `cache` shares immutable build products (topology, routing
+    ///   tree, channel adjacency) across runs through a [`BuildCache`];
+    /// * `scratch` recycles a worker's allocations across calls — the
+    ///   result is byte-identical to a fresh [`WorldScratch`] (pinned by
+    ///   `tests/determinism.rs`), only the allocator traffic differs;
+    /// * `budget` is a deterministic event budget: the run is abandoned
+    ///   (the result is `None`) once it has processed `budget` events
+    ///   without reaching the configured duration — an event count, not
+    ///   a wall clock, so the same job trips (or doesn't) identically on
+    ///   every machine and thread count;
+    /// * `probe` observes the run and is returned so callers can drain
+    ///   what it recorded. The result is byte-identical for every probe
+    ///   (including [`NullProbe`]) — probes observe, they cannot perturb;
+    /// * `timings` accumulates per-phase wall-clock timings (build / run
+    ///   / finalize). They are measurement only; they never influence
+    ///   the run.
     pub fn run_instrumented(
         cfg: &ExperimentConfig,
         factory: &PolicyFactory<'_>,

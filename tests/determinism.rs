@@ -191,6 +191,8 @@ fn run_summary_aggregates() {
 /// deaths) and across protocols interleaved on the same scratch.
 #[test]
 fn pooled_worlds_and_build_cache_match_fresh_construction() {
+    use essat::obs::profile::RunTimings;
+    use essat::obs::NullProbe;
     use essat::scenario::presets;
     use essat::scenario::spec::Scenario;
     use essat::wsn::sim::{BuildCache, World, WorldScratch};
@@ -221,8 +223,18 @@ fn pooled_worlds_and_build_cache_match_fresh_construction() {
     for pass in 0..2 {
         for c in &configs {
             let fresh = runner::run_one(c).digest();
-            let pooled =
-                World::run_pooled(c, &Protocol::build_policy, Some(&cache), &mut scratch).digest();
+            let pooled = World::run_instrumented(
+                c,
+                &Protocol::build_policy,
+                Some(&cache),
+                &mut scratch,
+                None,
+                NullProbe,
+                &mut RunTimings::default(),
+            )
+            .0
+            .expect("uncapped run cannot exhaust a budget")
+            .digest();
             assert_eq!(
                 fresh, pooled,
                 "pass {pass}: pooled run diverged for {} (seed {})",
