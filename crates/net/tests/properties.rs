@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use essat_net::channel::{Channel, TxEndBuf};
+use essat_net::channel::{Channel, TxEndBuf, TxId};
 use essat_net::frame::airtime;
 use essat_net::geometry::Area;
 use essat_net::ids::NodeId;
@@ -83,6 +83,84 @@ proptest! {
         for node in topo.nodes() {
             prop_assert!(!ch.carrier_busy(node), "carrier stuck busy at {node}");
             prop_assert!(!ch.is_transmitting(node));
+        }
+    }
+
+    /// Collision semantics against a brute-force reference model, with
+    /// begins and ends interleaved in random order. The copy of
+    /// transmission `T` at hearer `h` must be corrupted exactly when `h`
+    /// itself transmitted while `T` was in flight, or another
+    /// transmission `h` senses overlapped `T`; the collision counter must
+    /// equal the number of corrupted copies.
+    #[test]
+    fn channel_collisions_match_reference_model(
+        seed in any::<u64>(),
+        n in 2u32..60,
+        range in 20.0f64..90.0,
+        reach in 1.0f64..2.5,
+        ops in proptest::collection::vec((any::<bool>(), any::<u32>()), 1..120),
+    ) {
+        struct Tx {
+            sender: NodeId,
+            begin: usize,
+            end: usize,
+            clean: Vec<NodeId>,
+            corrupted: Vec<NodeId>,
+        }
+        let mut rng = SimRng::seed_from_u64(seed);
+        let topo = Topology::random(n, Area::new(200.0, 200.0), range, &mut rng)
+            .with_interference_range(range * reach);
+        let mut ch = Channel::new(&topo, SimRng::seed_from_u64(seed ^ 1));
+        let air = SimDuration::from_micros(416);
+        let mut txs: Vec<Tx> = Vec::new();
+        // (index into `txs`, channel handle) of every in-flight transmission.
+        let mut live: Vec<(usize, TxId)> = Vec::new();
+        let mut end = TxEndBuf::default();
+        let mut step = 0usize;
+        let mut finish = |ch: &mut Channel, tx: &mut Tx, id: TxId, step: usize| {
+            ch.end_tx_into(SimTime::from_micros(step as u64), id, &mut end);
+            assert_eq!(end.sender, tx.sender);
+            tx.end = step;
+            tx.clean = end.clean().to_vec();
+            tx.corrupted = end.corrupted().to_vec();
+        };
+        for &(begin, pick) in &ops {
+            step += 1;
+            let sender = NodeId::new(pick % n);
+            if begin && !ch.is_transmitting(sender) {
+                let start = ch.begin_tx(SimTime::from_micros(step as u64), sender, air);
+                live.push((txs.len(), start.id));
+                txs.push(Tx { sender, begin: step, end: usize::MAX, clean: vec![], corrupted: vec![] });
+            } else if !live.is_empty() {
+                let (ti, id) = live.remove(pick as usize % live.len());
+                finish(&mut ch, &mut txs[ti], id, step);
+            }
+        }
+        for (ti, id) in std::mem::take(&mut live) {
+            step += 1;
+            finish(&mut ch, &mut txs[ti], id, step);
+        }
+
+        let mut expected_collisions = 0u64;
+        for (ti, t) in txs.iter().enumerate() {
+            let (mut clean, mut corrupted) = (Vec::new(), Vec::new());
+            for &h in topo.neighbors(t.sender) {
+                let hit = txs.iter().enumerate().any(|(ui, u)| {
+                    ui != ti
+                        && u.begin < t.end
+                        && t.begin < u.end
+                        && (u.sender == h || topo.interference_neighbors(u.sender).contains(&h))
+                });
+                if hit { corrupted.push(h) } else { clean.push(h) }
+            }
+            expected_collisions += corrupted.len() as u64;
+            prop_assert_eq!(&t.clean, &clean, "clean set of tx {} from {}", ti, t.sender);
+            prop_assert_eq!(&t.corrupted, &corrupted, "corrupted set of tx {} from {}", ti, t.sender);
+        }
+        prop_assert_eq!(ch.stats().collisions, expected_collisions);
+        prop_assert_eq!(ch.stats().transmissions, txs.len() as u64);
+        for node in topo.nodes() {
+            prop_assert!(!ch.carrier_busy(node), "carrier stuck busy at {node}");
         }
     }
 
