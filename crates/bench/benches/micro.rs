@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the hot substrate paths: event queue, Safe Sleep
 //! decisions, shaper updates, MAC contention cycles, channel collision
-//! bookkeeping, and routing-tree construction.
+//! bookkeeping (at paper scale and at 2000 nodes), and routing-tree
+//! construction.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -340,6 +341,45 @@ fn channel_collision_storm(c: &mut Criterion) {
     });
 }
 
+fn channel_dense_2000_nodes(c: &mut Criterion) {
+    use essat_net::geometry::Area;
+    use essat_net::topology::{PAPER_NODE_COUNT, PAPER_RANGE_M};
+    // The paper's density (80 nodes per 500 x 500 m²) at 2000 nodes,
+    // with a standing window of 200 in-flight transmissions: each
+    // iteration ends the oldest and starts one from the next idle
+    // sender, so every begin/end sees city-scale concurrency.
+    const NODES: u32 = 2000;
+    const IN_FLIGHT: usize = 200;
+    let side = Area::paper().width() * (NODES as f64 / PAPER_NODE_COUNT as f64).sqrt();
+    let mut rng = SimRng::seed_from_u64(42);
+    let topo = Topology::random(NODES, Area::new(side, side), PAPER_RANGE_M, &mut rng);
+    let airtime = SimDuration::from_micros(416);
+    c.bench_function("micro/channel_dense_2000_nodes", |b| {
+        let mut ch = Channel::new(&topo, SimRng::seed_from_u64(7));
+        let mut end = TxEndBuf::default();
+        let mut next_sender = 0u32;
+        let mut t = 0u64;
+        let mut start = |ch: &mut Channel, t: u64| loop {
+            let s = NodeId::new(next_sender);
+            next_sender = (next_sender + 7) % NODES;
+            if !ch.is_transmitting(s) {
+                let tx = ch.begin_tx(SimTime::from_micros(t), s, airtime);
+                ch.recycle_nodes(tx.now_busy);
+                return tx.id;
+            }
+        };
+        let mut window: std::collections::VecDeque<_> =
+            (0..IN_FLIGHT).map(|_| start(&mut ch, 0)).collect();
+        b.iter(|| {
+            t += 2;
+            let oldest = window.pop_front().expect("window is never empty");
+            ch.end_tx_into(SimTime::from_micros(t), oldest, &mut end);
+            window.push_back(start(&mut ch, t));
+            black_box(end.clean().len())
+        })
+    });
+}
+
 fn gilbert_elliott_step(c: &mut Criterion) {
     use essat_net::channel::LossModel;
     use essat_scenario::gilbert::{GilbertElliott, GilbertElliottParams};
@@ -436,6 +476,7 @@ criterion_group! {
         safe_sleep_decide,
         shaper_round_trip,
         channel_collision_storm,
+        channel_dense_2000_nodes,
         gilbert_elliott_step,
         tree_construction,
         link_quality_ewma,

@@ -28,6 +28,16 @@
 //!   instead of cloning the neighbour lists per transmission.
 //! * In-flight transmissions live in a **slab** keyed by a dense slot id
 //!   ([`TxId`] packs slot + generation); there is no hashing anywhere.
+//! * A **per-node copy index** lists, for every node, the in-flight
+//!   copies it could decode, as `(slab slot, hearer position)` entries.
+//!   Node `h` owns a fixed region of one flat array, sized by the number
+//!   of senders `h` hears (a sender has at most one frame in flight), so
+//!   the index never allocates after construction. `begin_tx` registers
+//!   the new copies after its overlap checks, so a transmission never
+//!   corrupts itself; `end_tx_into` swap-removes them. Corrupting "every
+//!   copy decodable at `h`" therefore reads only `h`'s entries instead of
+//!   scanning every transmission in the network, and a `begin_tx` costs
+//!   O(interference range × copies per node) whatever the network size.
 //! * Per-hearer corruption flags and the returned receiver lists draw
 //!   from internal **buffer pools**; the simulator hands vectors back via
 //!   [`Channel::recycle_nodes`] after consuming a [`TxStart`], and ends
@@ -120,8 +130,6 @@ impl TxId {
 struct ActiveTx {
     seq: u32,
     live: bool,
-    /// Index of this slot in `Channel::active` (for O(1) removal).
-    active_pos: u32,
     sender: NodeId,
     start: SimTime,
     /// Parallel to the sender's communication-range CSR slice; recycled
@@ -218,6 +226,15 @@ pub struct ChannelStats {
     pub injected_drops: u64,
 }
 
+/// One entry of the per-node copy index: the copy of in-flight
+/// transmission `slot` at hearer position `pos` of its sender's
+/// communication-range CSR slice.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct CopyEntry {
+    slot: u32,
+    pos: u32,
+}
+
 /// CSR adjacency: `flat[off[i]..off[i+1]]` are node `i`'s neighbours in
 /// ascending id order.
 #[derive(Debug)]
@@ -251,6 +268,10 @@ impl Csr {
 pub struct ChannelAdjacency {
     neighbors: Csr,
     interference: Csr,
+    /// Node `h`'s region of the per-node copy index is
+    /// `copy_off[h]..copy_off[h+1]`, sized by the number of senders `h`
+    /// can decode (at most one in-flight copy per sender).
+    copy_off: Vec<u32>,
     nodes: usize,
 }
 
@@ -258,11 +279,20 @@ impl ChannelAdjacency {
     /// Builds the CSR indexes for `topology`.
     pub fn build(topology: &Topology) -> ChannelAdjacency {
         let n = topology.node_count();
+        let neighbors = Csr::from_lists(n, |i| topology.neighbors(NodeId::new(i as u32)));
+        let mut copy_off = vec![0u32; n + 1];
+        for h in &neighbors.flat {
+            copy_off[h.index() + 1] += 1;
+        }
+        for i in 0..n {
+            copy_off[i + 1] += copy_off[i];
+        }
         ChannelAdjacency {
-            neighbors: Csr::from_lists(n, |i| topology.neighbors(NodeId::new(i as u32))),
+            neighbors,
             interference: Csr::from_lists(n, |i| {
                 topology.interference_neighbors(NodeId::new(i as u32))
             }),
+            copy_off,
             nodes: n,
         }
     }
@@ -282,10 +312,14 @@ pub struct Channel {
     adj: Arc<ChannelAdjacency>,
     carrier_count: Vec<u32>,
     transmitting: Vec<bool>,
-    /// Transmission slab; `active` lists the live slot ids.
+    /// Transmission slab; freed slots are reused via `free`.
     slots: Vec<ActiveTx>,
-    active: Vec<u32>,
     free: Vec<u32>,
+    /// Per-node index of the in-flight copies decodable at each node:
+    /// node `h` owns `copies[copy_off[h]..copy_off[h] + copy_len[h]]`
+    /// (unordered).
+    copies: Vec<CopyEntry>,
+    copy_len: Vec<u32>,
     next_seq: u32,
     /// Recycled per-hearer corruption buffers.
     bool_pool: Vec<Vec<bool>>,
@@ -309,12 +343,13 @@ impl Channel {
     pub fn with_adjacency(adj: Arc<ChannelAdjacency>, rng: SimRng) -> Self {
         let n = adj.nodes;
         Channel {
-            adj,
             carrier_count: vec![0; n],
             transmitting: vec![false; n],
             slots: Vec::new(),
-            active: Vec::new(),
             free: Vec::new(),
+            copies: vec![CopyEntry::default(); adj.neighbors.flat.len()],
+            copy_len: vec![0; n],
+            adj,
             next_seq: 0,
             bool_pool: Vec::new(),
             node_pool: Vec::new(),
@@ -396,24 +431,16 @@ impl Channel {
         self.node_pool.pop().unwrap_or_default()
     }
 
-    /// Marks the copy of in-flight transmission `slot` as corrupted at
-    /// hearer position `pos`, counting the collision once.
-    fn corrupt_at(stats: &mut ChannelStats, tx: &mut ActiveTx, pos: usize) {
-        if !tx.corrupted[pos] {
-            tx.corrupted[pos] = true;
-            stats.collisions += 1;
-        }
-    }
-
-    /// Corrupts every in-flight copy decodable at `node`.
+    /// Corrupts every in-flight copy decodable at `node`, counting each
+    /// newly corrupted copy as one collision.
     fn corrupt_copies_at(&mut self, node: NodeId) {
-        for i in 0..self.active.len() {
-            let slot = self.active[i] as usize;
-            let s = self.slots[slot].sender.index();
-            let hearers = &self.adj.neighbors.flat
-                [self.adj.neighbors.off[s] as usize..self.adj.neighbors.off[s + 1] as usize];
-            if let Some(pos) = hearers.iter().position(|&h| h == node) {
-                Self::corrupt_at(&mut self.stats, &mut self.slots[slot], pos);
+        let base = self.adj.copy_off[node.index()] as usize;
+        let len = self.copy_len[node.index()] as usize;
+        for c in &self.copies[base..base + len] {
+            let flag = &mut self.slots[c.slot as usize].corrupted[c.pos as usize];
+            if !*flag {
+                *flag = true;
+                self.stats.collisions += 1;
             }
         }
     }
@@ -468,52 +495,47 @@ impl Channel {
                 self.corrupt_copies_at(h);
             }
         }
+        let slot = self.free.pop().unwrap_or(self.slots.len() as u32);
         let (h0, h1) = (
             self.adj.neighbors.off[si] as usize,
             self.adj.neighbors.off[si + 1] as usize,
         );
         for (i, idx) in (h0..h1).enumerate() {
-            let h = self.adj.neighbors.flat[idx];
+            let h = self.adj.neighbors.flat[idx].index();
             // Half-duplex: a transmitting hearer cannot receive.
-            if self.transmitting[h.index()] {
+            if self.transmitting[h] {
                 corrupted[i] = true;
                 self.stats.collisions += 1;
             }
             // The new copy is corrupted wherever other energy overlaps.
-            if self.carrier_count[h.index()] >= 2 && !corrupted[i] {
+            if self.carrier_count[h] >= 2 && !corrupted[i] {
                 corrupted[i] = true;
                 self.stats.collisions += 1;
             }
+            // Index the new copy at its hearer. The index is only read by
+            // `corrupt_copies_at`, which ran above, so a transmission
+            // never corrupts its own copies.
+            let len = &mut self.copy_len[h];
+            self.copies[(self.adj.copy_off[h] + *len) as usize] = CopyEntry {
+                slot,
+                pos: i as u32,
+            };
+            *len += 1;
         }
 
         let seq = self.next_seq;
         self.next_seq = self.next_seq.wrapping_add(1);
-        let active_pos = self.active.len() as u32;
-        let slot = match self.free.pop() {
-            Some(s) => {
-                let tx = &mut self.slots[s as usize];
-                tx.seq = seq;
-                tx.live = true;
-                tx.active_pos = active_pos;
-                tx.sender = sender;
-                tx.start = now;
-                tx.corrupted = corrupted;
-                s
-            }
-            None => {
-                let s = self.slots.len() as u32;
-                self.slots.push(ActiveTx {
-                    seq,
-                    live: true,
-                    active_pos,
-                    sender,
-                    start: now,
-                    corrupted,
-                });
-                s
-            }
+        let tx = ActiveTx {
+            seq,
+            live: true,
+            sender,
+            start: now,
+            corrupted,
         };
-        self.active.push(slot);
+        match self.slots.get_mut(slot as usize) {
+            Some(reused) => *reused = tx,
+            None => self.slots.push(tx),
+        }
         TxStart {
             id: TxId::new(slot, seq),
             now_busy,
@@ -540,22 +562,11 @@ impl Channel {
                 .is_some_and(|tx| tx.live && tx.seq == id.seq()),
             "end_tx_into for unknown transmission"
         );
-        // Detach the slot from the active set (swap-remove, O(1)).
-        let (sender, start, mut corrupted, pos) = {
+        let (sender, start, mut corrupted) = {
             let tx = &mut self.slots[slot];
             tx.live = false;
-            (
-                tx.sender,
-                tx.start,
-                std::mem::take(&mut tx.corrupted),
-                tx.active_pos as usize,
-            )
+            (tx.sender, tx.start, std::mem::take(&mut tx.corrupted))
         };
-        self.active.swap_remove(pos);
-        if pos < self.active.len() {
-            let moved = self.active[pos] as usize;
-            self.slots[moved].active_pos = pos as u32;
-        }
         self.free.push(slot as u32);
         self.transmitting[sender.index()] = false;
         out.reset(sender, start);
@@ -591,8 +602,19 @@ impl Channel {
         }
 
         // Pass 2 — partition hearers into the flat outcome list: clean
-        // first, corrupted second, both in hearer order.
+        // first, corrupted second, both in hearer order. The first sweep
+        // also drops each copy from its hearer's index (swap-remove; a
+        // node holds at most one copy per in-flight transmission).
         for (i, &h) in hearers.iter().enumerate() {
+            let base = self.adj.copy_off[h.index()] as usize;
+            let len = &mut self.copy_len[h.index()];
+            let region = &mut self.copies[base..base + *len as usize];
+            let k = region
+                .iter()
+                .position(|c| c.slot == slot as u32)
+                .expect("copy index lost an in-flight copy");
+            *len -= 1;
+            region[k] = region[*len as usize];
             if !corrupted[i] {
                 out.nodes.push(h);
             }
@@ -622,6 +644,58 @@ impl Channel {
 
         // Return the corruption buffer to the pool.
         self.bool_pool.push(corrupted);
+    }
+
+    /// Exhaustive consistency check of the per-node copy index; the
+    /// simulation sanitizer calls it on every sweep.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every hearer of every live transmission holds
+    /// exactly one index entry for it, at the hearer's own position,
+    /// and no entry points at a freed slot.
+    pub fn check_invariants(&self) {
+        let hearers = |s: usize| {
+            &self.adj.neighbors.flat
+                [self.adj.neighbors.off[s] as usize..self.adj.neighbors.off[s + 1] as usize]
+        };
+        let region = |h: usize| {
+            let base = self.adj.copy_off[h] as usize;
+            let len = self.copy_len[h] as usize;
+            assert!(
+                base + len <= self.adj.copy_off[h + 1] as usize,
+                "copy index of node {h} overflows its region"
+            );
+            &self.copies[base..base + len]
+        };
+        for h in 0..self.adj.nodes {
+            for c in region(h) {
+                let tx = &self.slots[c.slot as usize];
+                assert!(
+                    tx.live,
+                    "copy index of node {h} names freed slot {}",
+                    c.slot
+                );
+                assert_eq!(
+                    hearers(tx.sender.index())
+                        .get(c.pos as usize)
+                        .map(|n| n.index()),
+                    Some(h),
+                    "copy index of node {h} names slot {} at a position that is not {h}",
+                    c.slot
+                );
+            }
+        }
+        for (slot, tx) in self.slots.iter().enumerate().filter(|(_, tx)| tx.live) {
+            for (pos, &h) in hearers(tx.sender.index()).iter().enumerate() {
+                let mut hits = region(h.index()).iter().filter(|c| c.slot as usize == slot);
+                assert_eq!(
+                    (hits.next().map(|c| c.pos as usize), hits.next()),
+                    (Some(pos), None),
+                    "live slot {slot} must have exactly one index entry at hearer {h}"
+                );
+            }
+        }
     }
 }
 

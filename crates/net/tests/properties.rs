@@ -135,6 +135,7 @@ proptest! {
                 let (ti, id) = live.remove(pick as usize % live.len());
                 finish(&mut ch, &mut txs[ti], id, step);
             }
+            ch.check_invariants();
         }
         for (ti, id) in std::mem::take(&mut live) {
             step += 1;

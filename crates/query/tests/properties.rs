@@ -247,6 +247,50 @@ proptest! {
         }
     }
 
+    /// Random tree surgery — `fail_node`, `rejoin_node`, `reparent` and
+    /// `adopt_orphan` in any order — keeps every structural invariant,
+    /// including the cached height, after each step.
+    #[test]
+    fn tree_surgery_keeps_invariants(
+        seed in any::<u64>(),
+        n in 2u32..50,
+        range in 40.0f64..120.0,
+        ops in proptest::collection::vec((0u8..4, any::<u32>(), 0.05f64..1.0), 1..40),
+    ) {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let topo = Topology::random(n, Area::new(250.0, 250.0), range, &mut rng);
+        let root = topo.closest_to_center();
+        let mut tree = RoutingTree::build(&topo, root, None);
+        tree.check_invariants();
+        for &(op, raw, q) in &ops {
+            let node = NodeId::new(raw % n);
+            // Directed link quality: a fixed pseudo-random score per
+            // pair, scaled by the step's draw.
+            let quality = |a: NodeId, b: NodeId| {
+                let h = a.as_u32() as u64 * 31 + b.as_u32() as u64 * 17 + raw as u64;
+                q * ((h % 7) as f64 + 1.0)
+            };
+            if node != root {
+                match op {
+                    0 if tree.is_member(node) => {
+                        tree.fail_node(&topo, node);
+                    }
+                    1 => {
+                        tree.rejoin_node(&topo, node);
+                    }
+                    2 if tree.is_member(node) => {
+                        tree.reparent(&topo, node, &quality);
+                    }
+                    _ => {
+                        tree.adopt_orphan(&topo, node, &quality);
+                    }
+                }
+            }
+            tree.check_invariants();
+            prop_assert_eq!(tree.max_level(), tree.max_rank());
+        }
+    }
+
     /// A round aggregator seals to exactly the sum of accepted inputs,
     /// regardless of arrival order and duplicates.
     #[test]

@@ -16,6 +16,10 @@
 //! * **Routing-tree consistency** — the root is a member, every
 //!   member's parent chain reaches the root, and parent/children
 //!   links are symmetric — under churn, repair, and rejoin.
+//! * **Channel copy-index consistency** — every hearer of every
+//!   in-flight transmission holds exactly one entry in the channel's
+//!   per-node copy index, and no entry names a finished transmission
+//!   ([`essat_net::channel::Channel::check_invariants`]).
 //!
 //! More invariants live at their natural sites: no frame is ever
 //! delivered to a dead node (asserted at the MAC `Deliver` action);
@@ -105,6 +109,7 @@ impl<P: Probe> World<P> {
             self.san.last_energy[i] = e;
         }
         self.sanitize_tree(now);
+        self.channel.check_invariants();
         self.sanitize_repair(now);
     }
 
