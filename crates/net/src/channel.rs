@@ -30,8 +30,9 @@
 //!   ([`TxId`] packs slot + generation); there is no hashing anywhere.
 //! * A **per-node copy index** lists, for every node, the in-flight
 //!   copies it could decode, as `(slab slot, hearer position)` entries.
-//!   Node `h` owns a fixed region of one flat array, sized by the number
-//!   of senders `h` hears (a sender has at most one frame in flight), so
+//!   Node `h` owns its own range of the communication CSR in one flat
+//!   array: adjacency is symmetric and a sender has at most one frame in
+//!   flight, so `h` never holds more copies than it has neighbours, and
 //!   the index never allocates after construction. `begin_tx` registers
 //!   the new copies after its overlap checks, so a transmission never
 //!   corrupts itself; `end_tx_into` swap-removes them. Corrupting "every
@@ -229,7 +230,7 @@ pub struct ChannelStats {
 /// One entry of the per-node copy index: the copy of in-flight
 /// transmission `slot` at hearer position `pos` of its sender's
 /// communication-range CSR slice.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default)]
 struct CopyEntry {
     slot: u32,
     pos: u32,
@@ -268,10 +269,6 @@ impl Csr {
 pub struct ChannelAdjacency {
     neighbors: Csr,
     interference: Csr,
-    /// Node `h`'s region of the per-node copy index is
-    /// `copy_off[h]..copy_off[h+1]`, sized by the number of senders `h`
-    /// can decode (at most one in-flight copy per sender).
-    copy_off: Vec<u32>,
     nodes: usize,
 }
 
@@ -279,20 +276,11 @@ impl ChannelAdjacency {
     /// Builds the CSR indexes for `topology`.
     pub fn build(topology: &Topology) -> ChannelAdjacency {
         let n = topology.node_count();
-        let neighbors = Csr::from_lists(n, |i| topology.neighbors(NodeId::new(i as u32)));
-        let mut copy_off = vec![0u32; n + 1];
-        for h in &neighbors.flat {
-            copy_off[h.index() + 1] += 1;
-        }
-        for i in 0..n {
-            copy_off[i + 1] += copy_off[i];
-        }
         ChannelAdjacency {
-            neighbors,
+            neighbors: Csr::from_lists(n, |i| topology.neighbors(NodeId::new(i as u32))),
             interference: Csr::from_lists(n, |i| {
                 topology.interference_neighbors(NodeId::new(i as u32))
             }),
-            copy_off,
             nodes: n,
         }
     }
@@ -315,9 +303,11 @@ pub struct Channel {
     /// Transmission slab; freed slots are reused via `free`.
     slots: Vec<ActiveTx>,
     free: Vec<u32>,
-    /// Per-node index of the in-flight copies decodable at each node:
-    /// node `h` owns `copies[copy_off[h]..copy_off[h] + copy_len[h]]`
-    /// (unordered).
+    /// Per-node index of the in-flight copies decodable at each node,
+    /// laid out like the communication CSR: node `h` owns
+    /// `copies[off[h]..off[h] + copy_len[h]]` (unordered). Adjacency is
+    /// symmetric and a sender has at most one frame in flight, so `h`
+    /// never holds more copies than it has neighbours.
     copies: Vec<CopyEntry>,
     copy_len: Vec<u32>,
     next_seq: u32,
@@ -434,7 +424,7 @@ impl Channel {
     /// Corrupts every in-flight copy decodable at `node`, counting each
     /// newly corrupted copy as one collision.
     fn corrupt_copies_at(&mut self, node: NodeId) {
-        let base = self.adj.copy_off[node.index()] as usize;
+        let base = self.adj.neighbors.off[node.index()] as usize;
         let len = self.copy_len[node.index()] as usize;
         for c in &self.copies[base..base + len] {
             let flag = &mut self.slots[c.slot as usize].corrupted[c.pos as usize];
@@ -516,7 +506,11 @@ impl Channel {
             // `corrupt_copies_at`, which ran above, so a transmission
             // never corrupts its own copies.
             let len = &mut self.copy_len[h];
-            self.copies[(self.adj.copy_off[h] + *len) as usize] = CopyEntry {
+            debug_assert!(
+                self.adj.neighbors.off[h] + *len < self.adj.neighbors.off[h + 1],
+                "copy index of {h} is full: adjacency is not symmetric"
+            );
+            self.copies[(self.adj.neighbors.off[h] + *len) as usize] = CopyEntry {
                 slot,
                 pos: i as u32,
             };
@@ -606,7 +600,7 @@ impl Channel {
         // also drops each copy from its hearer's index (swap-remove; a
         // node holds at most one copy per in-flight transmission).
         for (i, &h) in hearers.iter().enumerate() {
-            let base = self.adj.copy_off[h.index()] as usize;
+            let base = self.adj.neighbors.off[h.index()] as usize;
             let len = &mut self.copy_len[h.index()];
             let region = &mut self.copies[base..base + *len as usize];
             let k = region
@@ -660,10 +654,10 @@ impl Channel {
                 [self.adj.neighbors.off[s] as usize..self.adj.neighbors.off[s + 1] as usize]
         };
         let region = |h: usize| {
-            let base = self.adj.copy_off[h] as usize;
+            let base = self.adj.neighbors.off[h] as usize;
             let len = self.copy_len[h] as usize;
             assert!(
-                base + len <= self.adj.copy_off[h + 1] as usize,
+                base + len <= self.adj.neighbors.off[h + 1] as usize,
                 "copy index of node {h} overflows its region"
             );
             &self.copies[base..base + len]
@@ -690,8 +684,8 @@ impl Channel {
             for (pos, &h) in hearers(tx.sender.index()).iter().enumerate() {
                 let mut hits = region(h.index()).iter().filter(|c| c.slot as usize == slot);
                 assert_eq!(
-                    (hits.next().map(|c| c.pos as usize), hits.next()),
-                    (Some(pos), None),
+                    (hits.next().map(|c| c.pos as usize), hits.next().is_some()),
+                    (Some(pos), false),
                     "live slot {slot} must have exactly one index entry at hearer {h}"
                 );
             }

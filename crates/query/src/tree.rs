@@ -12,10 +12,10 @@
 //! * `M` — the maximum rank in the tree (the root's rank), which sets
 //!   STS's local deadline `l = D / M`.
 //!
-//! Every structural change ends in one derived-state rebuild, which also
-//! caches the tree height, so [`RoutingTree::max_level`] and
-//! [`RoutingTree::max_rank`] are O(1) reads on the simulator's per-event
-//! paths.
+//! Every structural change ends in one derived-state rebuild that
+//! recomputes the ranks, so the tree height — the root's rank — is
+//! cached: [`RoutingTree::max_level`] and [`RoutingTree::max_rank`] are
+//! O(1) reads on the simulator's per-event paths.
 //!
 //! [`RoutingTree::build`] constructs the tree deterministically
 //! (lowest level, ties by lowest node id — matching the paper's rule with
@@ -55,8 +55,6 @@ pub struct RoutingTree {
     rank: Vec<u32>,
     member: Vec<bool>,
     members: Vec<NodeId>,
-    /// Deepest member level, cached by `rebuild_derived`.
-    max_level: u32,
 }
 
 impl RoutingTree {
@@ -112,26 +110,23 @@ impl RoutingTree {
             rank: vec![0; n],
             member: vec![false; n],
             members: Vec::new(),
-            max_level: 0,
         };
         tree.rebuild_derived();
         tree
     }
 
-    /// Recomputes children lists, membership, ranks and the cached
-    /// height from the parent array + levels.
+    /// Recomputes children lists, membership, and ranks from the parent
+    /// array + levels.
     fn rebuild_derived(&mut self) {
         let n = self.parent.len();
         for c in &mut self.children {
             c.clear();
         }
         self.members.clear();
-        self.max_level = 0;
         for i in 0..n {
             self.member[i] = self.level[i].is_some();
-            if let Some(l) = self.level[i] {
+            if self.member[i] {
                 self.members.push(NodeId::new(i as u32));
-                self.max_level = self.max_level.max(l);
             }
             if let Some(p) = self.parent[i] {
                 self.children[p.index()].push(NodeId::new(i as u32));
@@ -195,11 +190,12 @@ impl RoutingTree {
         self.rank[self.root.index()]
     }
 
-    /// The deepest level among members (equals [`RoutingTree::max_rank`]
-    /// on any tree, since the root's rank is the height). Cached at every
-    /// structural change, so O(1).
+    /// The deepest level among members. Levels step by one along tree
+    /// edges from the root, so this is the height — the root's rank,
+    /// which every structural change recomputes — and reading it is
+    /// O(1) (`check_invariants` asserts it equals a scan of the members).
     pub fn max_level(&self) -> u32 {
-        self.max_level
+        self.max_rank()
     }
 
     /// True if `node` is a member with no children.
@@ -592,7 +588,7 @@ impl RoutingTree {
             .filter_map(|&m| self.level[m.index()])
             .max()
             .unwrap_or(0);
-        assert_eq!(self.max_level, scanned, "cached max_level is stale");
+        assert_eq!(self.max_level(), scanned, "max_level is not the height");
     }
 }
 
