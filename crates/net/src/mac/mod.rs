@@ -105,14 +105,19 @@ pub enum MacTimer {
 }
 
 impl MacTimer {
-    const COUNT: usize = 4;
-    fn idx(self) -> usize {
-        match self {
-            MacTimer::Difs => 0,
-            MacTimer::Backoff => 1,
-            MacTimer::AckTimeout => 2,
-            MacTimer::AckDelay => 3,
-        }
+    /// Number of timer kinds.
+    pub const COUNT: usize = 4;
+    /// Every timer kind, in [`MacTimer::index`] order.
+    pub const ALL: [MacTimer; MacTimer::COUNT] = [
+        MacTimer::Difs,
+        MacTimer::Backoff,
+        MacTimer::AckTimeout,
+        MacTimer::AckDelay,
+    ];
+
+    /// Dense index in `0..COUNT`, for per-kind arrays.
+    pub fn index(self) -> usize {
+        self as usize
     }
 }
 
@@ -328,7 +333,7 @@ impl<P: Clone + Default + PartialEq> Mac<P> {
     }
 
     fn arm(&mut self, kind: MacTimer, after: SimDuration, out: &mut Vec<MacAction<P>>) {
-        let i = kind.idx();
+        let i = kind.index();
         if let Some(old) = self.timer_ev[i].take() {
             self.cancelled.push(old);
         }
@@ -337,7 +342,7 @@ impl<P: Clone + Default + PartialEq> Mac<P> {
     }
 
     fn disarm(&mut self, kind: MacTimer) {
-        let i = kind.idx();
+        let i = kind.index();
         self.timer_armed[i] = false;
         if let Some(old) = self.timer_ev[i].take() {
             self.cancelled.push(old);
@@ -351,7 +356,7 @@ impl<P: Clone + Default + PartialEq> Mac<P> {
     /// in the same action batch.
     #[must_use = "a returned handle must be cancelled on the event queue"]
     pub fn timer_scheduled(&mut self, kind: MacTimer, id: EventId) -> Option<EventId> {
-        let i = kind.idx();
+        let i = kind.index();
         if !self.timer_armed[i] {
             return Some(id);
         }
@@ -378,11 +383,17 @@ impl<P: Clone + Default + PartialEq> Mac<P> {
         }
     }
 
+    /// True while a timer of `kind` is armed (set by an arm, cleared by
+    /// its expiry or a disarm).
+    pub fn is_armed(&self, kind: MacTimer) -> bool {
+        self.timer_armed[kind.index()]
+    }
+
     /// The stored expiry-event handle for `kind`, if armed. Lets the
     /// executor cross-check (under `sanitize`) that a dispatched timer
     /// expiry is the event the MAC still expects.
     pub fn timer_event(&self, kind: MacTimer) -> Option<EventId> {
-        self.timer_ev[kind.idx()]
+        self.timer_ev[kind.index()]
     }
 
     /// Hands a data frame to the MAC for transmission, appending the
@@ -480,7 +491,7 @@ impl<P: Clone + Default + PartialEq> Mac<P> {
     /// timers are truly cancelled on the event queue, so every expiry
     /// that arrives here is current.
     pub fn timer_fired_into(&mut self, kind: MacTimer, now: SimTime, out: &mut Vec<MacAction<P>>) {
-        let i = kind.idx();
+        let i = kind.index();
         if !self.timer_armed[i] {
             // Defensive: with true cancellation a disarmed timer's expiry
             // never dispatches. Tolerated (not asserted) because a node
@@ -751,12 +762,7 @@ impl<P: Clone + Default + PartialEq> Mac<P> {
             !matches!(self.state, State::TxData | State::TxAck),
             "radio must not sleep mid-transmission"
         );
-        for kind in [
-            MacTimer::Difs,
-            MacTimer::Backoff,
-            MacTimer::AckTimeout,
-            MacTimer::AckDelay,
-        ] {
+        for kind in MacTimer::ALL {
             self.disarm(kind);
         }
         self.pending_acks.clear();

@@ -20,6 +20,12 @@
 //!   in-flight transmission holds exactly one entry in the channel's
 //!   per-node copy index, and no entry names a finished transmission
 //!   ([`essat_net::channel::Channel::check_invariants`]).
+//! * **MAC timer liveness** — for every live node and every
+//!   [`MacTimer`] kind, the MAC has the kind armed exactly when the
+//!   expiry event its handle names is still pending on the queue. A
+//!   stale expiry is caught at dispatch (below); this catches the
+//!   opposite fault, a *lost* timer, which would leave the MAC waiting
+//!   forever for an expiry that never comes.
 //!
 //! More invariants live at their natural sites: no frame is ever
 //! delivered to a dead node (asserted at the MAC `Deliver` action);
@@ -33,9 +39,12 @@
 //! queue rather than filtered at delivery. When the feature is off none
 //! of this exists — the hot path carries zero cost.
 
+use essat_net::mac::MacTimer;
 use essat_obs::Probe;
+use essat_sim::engine::Context;
 use essat_sim::time::SimTime;
 
+use super::events::Ev;
 use super::world::World;
 
 /// Events between two full invariant sweeps. Cheap enough to leave on
@@ -63,7 +72,8 @@ impl Default for Sanitizer {
 
 impl<P: Probe> World<P> {
     /// Per-event probe: time monotonicity, plus the periodic sweep.
-    pub(crate) fn sanitize_step(&mut self, now: SimTime) {
+    pub(crate) fn sanitize_step(&mut self, ctx: &Context<'_, Ev>) {
+        let now = ctx.now();
         assert!(
             now >= self.san.last_now,
             "sanitizer: event delivered at {now}, after the queue already reached {}",
@@ -74,6 +84,33 @@ impl<P: Probe> World<P> {
         if self.san.countdown == 0 {
             self.san.countdown = SWEEP_PERIOD;
             self.sanitize_sweep(now);
+            self.sanitize_mac_timers(ctx);
+        }
+    }
+
+    /// MAC timer liveness: armed ⇔ the stored handle is pending. The
+    /// event being dispatched has already left the queue but has not
+    /// reached its handler yet, so it still counts as pending. Dead
+    /// nodes are skipped: an expiry armed while dead is consumed by the
+    /// dead guard without reaching the MAC, and revival replaces the MAC.
+    fn sanitize_mac_timers(&self, ctx: &Context<'_, Ev>) {
+        let now = ctx.now();
+        let current = ctx.event_id();
+        for (i, n) in self.nodes.iter().enumerate() {
+            if self.hot.dead[i] {
+                continue;
+            }
+            for kind in MacTimer::ALL {
+                let armed = n.mac.is_armed(kind);
+                let pending = n
+                    .mac
+                    .timer_event(kind)
+                    .is_some_and(|id| id == current || ctx.is_pending(id));
+                assert_eq!(
+                    armed, pending,
+                    "sanitizer: node {i} MAC {kind} timer armed={armed} but expiry pending={pending} at {now}"
+                );
+            }
         }
     }
 

@@ -981,7 +981,7 @@ impl<P: Probe> Model for World<P> {
 
     fn handle(&mut self, event: Ev, ctx: &mut Context<'_, Ev>) {
         #[cfg(feature = "sanitize")]
-        self.sanitize_step(ctx.now());
+        self.sanitize_step(ctx);
         self.probe_event(ctx.now(), event.label());
         match event {
             Ev::SetupEnd => self.handle_setup_end(ctx),
