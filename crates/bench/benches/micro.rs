@@ -138,14 +138,29 @@ fn timer_wheel_cancel_churn(c: &mut Criterion) {
     });
 }
 
+/// One expiry-event handle per MAC timer kind, owned by the executor.
+type MacHandles = [Option<essat_sim::queue::EventId>; essat_net::mac::MacTimer::COUNT];
+
+/// Cancels the stored expiry of `kind`, if any.
+fn cancel_mac_timer(
+    q: &mut EventQueue<essat_net::mac::MacTimer>,
+    ev: &mut MacHandles,
+    kind: essat_net::mac::MacTimer,
+) {
+    if let Some(id) = ev[kind.index()].take() {
+        q.cancel(id);
+    }
+}
+
 /// Executes one MAC action batch against a real event queue the way the
-/// simulator's executor does: `SetTimer` pushes an expiry event and hands
-/// the id back through `timer_scheduled` (cancelling any displaced
-/// handle), `StartTx` completes instantaneously, and every surrendered
-/// handle from `pop_cancelled` becomes a real `queue.cancel`.
+/// simulator's executor does: `SetTimer` cancels the kind's stored
+/// handle, then schedules and stores the new expiry; `CancelTimer`
+/// takes the handle and cancels it; `StartTx` completes
+/// instantaneously.
 fn run_mac_actions(
     mac: &mut essat_net::mac::Mac<u64>,
     q: &mut EventQueue<essat_net::mac::MacTimer>,
+    ev: &mut MacHandles,
     now: SimTime,
     acts: &mut Vec<essat_net::mac::MacAction<u64>>,
     spare: &mut Vec<essat_net::mac::MacAction<u64>>,
@@ -156,11 +171,10 @@ fn run_mac_actions(
         for a in acts.drain(..) {
             match a {
                 MacAction::SetTimer { kind, after } => {
-                    let id = q.push(now + after, kind);
-                    if let Some(stale) = mac.timer_scheduled(kind, id) {
-                        q.cancel(stale);
-                    }
+                    cancel_mac_timer(q, ev, kind);
+                    ev[kind.index()] = Some(q.push(now + after, kind));
                 }
+                MacAction::CancelTimer { kind } => cancel_mac_timer(q, ev, kind),
                 MacAction::StartTx { .. } => {
                     // Airtime is irrelevant here; what this bench
                     // measures is the arm/disarm traffic of the cycle.
@@ -168,9 +182,6 @@ fn run_mac_actions(
                 }
                 _ => {}
             }
-        }
-        while let Some(id) = mac.pop_cancelled() {
-            q.cancel(id);
         }
         std::mem::swap(acts, spare);
     }
@@ -182,10 +193,10 @@ fn mac_timer_arm_disarm_churn(c: &mut Criterion) {
     c.bench_function("micro/mac_timer_arm_disarm_churn", |b| {
         // The CSMA/CA contention cycle's timer lifecycle end-to-end:
         // every DIFS/backoff arm schedules a real expiry event, every
-        // carrier interruption disarms it via true cancellation
-        // (`timer_scheduled` / `pop_cancelled` / `queue.cancel`), and
-        // expiries dispatch through the wheel. This is the path that
-        // replaced generation-fencing, so its cost is tracked here.
+        // carrier interruption disarms it and the executor cancels the
+        // stored handle on the queue, and expiries dispatch through the
+        // wheel. This is the path that replaced generation-fencing, so
+        // its cost is tracked here.
         b.iter(|| {
             let mut mac: Mac<u64> = Mac::new(
                 NodeId::new(0),
@@ -193,6 +204,7 @@ fn mac_timer_arm_disarm_churn(c: &mut Criterion) {
                 SimRng::seed_from_u64(11),
             );
             let mut q = EventQueue::new();
+            let mut ev: MacHandles = [None; essat_net::mac::MacTimer::COUNT];
             let mut acts = Vec::new();
             let mut spare = Vec::new();
             let mut now = SimTime::from_nanos(0);
@@ -207,22 +219,22 @@ fn mac_timer_arm_disarm_churn(c: &mut Criterion) {
                     payload: step,
                 };
                 mac.enqueue_into(f, now, &mut acts);
-                run_mac_actions(&mut mac, &mut q, now, &mut acts, &mut spare);
+                run_mac_actions(&mut mac, &mut q, &mut ev, now, &mut acts, &mut spare);
                 if step % 3 == 0 {
                     // Carrier goes busy then idle: the Difs/Backoff
                     // disarm + re-arm churn this bench exists for.
-                    mac.carrier_busy(now);
-                    while let Some(id) = mac.pop_cancelled() {
-                        q.cancel(id);
+                    if let Some(kind) = mac.carrier_busy(now) {
+                        cancel_mac_timer(&mut q, &mut ev, kind);
                     }
                     mac.carrier_idle_into(now, &mut acts);
-                    run_mac_actions(&mut mac, &mut q, now, &mut acts, &mut spare);
+                    run_mac_actions(&mut mac, &mut q, &mut ev, now, &mut acts, &mut spare);
                 }
                 while let Some((t, _, kind)) = q.pop() {
                     now = now.max(t);
                     fired += 1;
+                    ev[kind.index()] = None;
                     mac.timer_fired_into(kind, now, &mut acts);
-                    run_mac_actions(&mut mac, &mut q, now, &mut acts, &mut spare);
+                    run_mac_actions(&mut mac, &mut q, &mut ev, now, &mut acts, &mut spare);
                 }
                 now += SimDuration::from_micros(100);
             }

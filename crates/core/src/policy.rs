@@ -33,8 +33,9 @@ use crate::shaper::{Expectations, Release, TrafficShaper, TreeInfo};
 ///
 /// The executor routes expiries back into [`PowerPolicy::on_timer`]
 /// without interpreting them, except for *chain* timers (schedule
-/// chains that survive across events), which it guards with a
-/// generation counter so churn recovery can invalidate a stale chain.
+/// chains that survive across events): it keeps the queue handle of
+/// every pending chain link, so death and churn recovery can cancel a
+/// stale chain outright.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyTimer {
     /// SYNC schedule edge (active-window start or end).
@@ -61,24 +62,24 @@ pub enum PolicyTimer {
         target: NodeId,
     },
     /// A timer belonging to an out-of-tree policy. The executor never
-    /// interprets `key`; `chain` selects the generation-guarded
+    /// interprets `key`; `chain` selects the cancellable
     /// schedule-chain semantics (see [`PolicyTimer::is_chain`]).
     Custom {
         /// Policy-defined discriminator (a policy with several timers
         /// tells them apart by key).
         key: u16,
-        /// True for self-perpetuating schedule chains that churn
-        /// recovery must be able to invalidate.
+        /// True for self-perpetuating schedule chains that death and
+        /// churn recovery must be able to cancel.
         chain: bool,
     },
 }
 
 impl PolicyTimer {
     /// True for self-perpetuating schedule chains (SYNC edges, PSM
-    /// beacons, chain-flagged custom timers): the executor drops
-    /// expiries whose generation no longer matches the node's chain
-    /// generation, so a churn-revived node can re-arm its chain without
-    /// duplicating it.
+    /// beacons, chain-flagged custom timers): the executor tracks the
+    /// queue handle of each pending link and cancels them all when the
+    /// node dies or revives, so a churn-revived node can re-arm its
+    /// chain without duplicating it.
     pub fn is_chain(self) -> bool {
         matches!(
             self,
@@ -115,9 +116,8 @@ pub enum PolicyAction<P> {
     /// Hand a frame to the MAC.
     Enqueue(Frame<P>),
     /// ESSAT sleep: suspend the MAC, switch the radio off, and (when
-    /// `wake_at` is set) arm a generation-guarded wake-up. The node's
-    /// wake generation is bumped either way, invalidating older
-    /// pending wake-ups.
+    /// `wake_at` is set) arm a wake-up. Any older pending wake-up is
+    /// cancelled on the queue either way.
     Sleep {
         /// When to start the OFF→ON transition; `None` sleeps until
         /// externally re-activated (no queries routed through here).

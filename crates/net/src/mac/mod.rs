@@ -19,19 +19,21 @@
 //! * suspension while the node's radio is off.
 //!
 //! The state machine never touches the engine: every input appends
-//! [`MacAction`]s (timers to arm, transmissions to start, frames to
-//! deliver up) to a caller-recycled buffer that the simulator executes. Timers are *truly cancelled*:
-//! the MAC keeps the live [`EventId`] of every armed timer (reported back
-//! by the executor via [`Mac::timer_scheduled`] after it schedules a
-//! [`MacAction::SetTimer`]) and, on disarm or re-arm, surrenders the
-//! superseded handle through [`Mac::pop_cancelled`] for the executor to
-//! `cancel` on its queue — a disarmed timer never dispatches at all,
-//! instead of firing stale and being filtered by a generation check.
+//! [`MacAction`]s (timers to arm or disarm, transmissions to start,
+//! frames to deliver up) to a caller-recycled buffer that the simulator
+//! executes. The MAC records only *which* of its timers are armed; the
+//! executor owns the event-queue handles. Each arm is a
+//! [`MacAction::SetTimer`] and each disarm of an armed timer a
+//! [`MacAction::CancelTimer`], so the executor cancels a disarmed
+//! timer's expiry event on its queue and it never dispatches. Two entry
+//! points disarm without a buffer: [`Mac::carrier_busy`] returns the one
+//! timer it froze, and [`Mac::radio_slept`] disarms everything (the
+//! executor cancels all of the node's handles when it suspends the
+//! radio).
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
-use essat_sim::queue::EventId;
 use essat_sim::rng::SimRng;
 use essat_sim::time::{SimDuration, SimTime};
 
@@ -91,7 +93,7 @@ impl Default for MacParams {
 
 /// Timer classes the MAC arms. The simulator routes expiry back via
 /// [`Mac::timer_fired_into`]; at most one timer of each kind is armed at a
-/// time, and the MAC owns its cancellation handle.
+/// time, and the simulator keeps one event-queue handle per kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MacTimer {
     /// Idle-medium wait before transmission or backoff.
@@ -137,14 +139,17 @@ impl fmt::Display for MacTimer {
 #[derive(Debug, Clone, PartialEq)]
 pub enum MacAction<P> {
     /// Arm (or re-arm) a timer; deliver expiry via [`Mac::timer_fired_into`].
-    /// After scheduling the expiry event, the executor must hand its
-    /// [`EventId`] back through [`Mac::timer_scheduled`] (and cancel any
-    /// handle that call returns) so disarms can truly cancel it.
+    /// A re-arm replaces the pending expiry of the same kind.
     SetTimer {
         /// Which timer.
         kind: MacTimer,
         /// Delay from now.
         after: SimDuration,
+    },
+    /// Disarm an armed timer: its pending expiry must never dispatch.
+    CancelTimer {
+        /// Which timer.
+        kind: MacTimer,
     },
     /// Put a frame on the air for `airtime`; call [`Mac::tx_ended_into`] when
     /// it completes.
@@ -244,14 +249,8 @@ pub struct Mac<P> {
     /// (the paper's §4.3 phase-update-request-in-ACK mechanism).
     ack_notes: HashMap<NodeId, P>,
     after_ack: AfterAck,
-    /// Live expiry-event handle per timer kind, reported by the executor
-    /// via [`Mac::timer_scheduled`]. `Some` iff an expiry event for that
-    /// kind is (believed) pending in the simulator's queue.
-    timer_ev: [Option<EventId>; MacTimer::COUNT],
+    /// Per timer kind: an expiry is pending in the simulator's queue.
     timer_armed: [bool; MacTimer::COUNT],
-    /// Handles of superseded timers awaiting cancellation by the
-    /// executor (drained via [`Mac::pop_cancelled`]).
-    cancelled: Vec<EventId>,
     last_seen: HashMap<NodeId, FrameId>,
     next_frame_seq: u64,
     stats: MacStats,
@@ -276,9 +275,7 @@ impl<P: Clone + Default + PartialEq> Mac<P> {
             pending_acks: VecDeque::new(),
             ack_notes: HashMap::new(),
             after_ack: AfterAck::AccessCycle,
-            timer_ev: [None; MacTimer::COUNT],
             timer_armed: [false; MacTimer::COUNT],
-            cancelled: Vec::new(),
             last_seen: HashMap::new(),
             next_frame_seq: 0,
             stats: MacStats::default(),
@@ -333,53 +330,15 @@ impl<P: Clone + Default + PartialEq> Mac<P> {
     }
 
     fn arm(&mut self, kind: MacTimer, after: SimDuration, out: &mut Vec<MacAction<P>>) {
-        let i = kind.index();
-        if let Some(old) = self.timer_ev[i].take() {
-            self.cancelled.push(old);
-        }
-        self.timer_armed[i] = true;
+        self.timer_armed[kind.index()] = true;
         out.push(MacAction::SetTimer { kind, after });
     }
 
-    fn disarm(&mut self, kind: MacTimer) {
-        let i = kind.index();
-        self.timer_armed[i] = false;
-        if let Some(old) = self.timer_ev[i].take() {
-            self.cancelled.push(old);
-        }
-    }
-
-    /// Reports the expiry event the executor scheduled for the most
-    /// recent [`MacAction::SetTimer`] of `kind`. Returns a handle the
-    /// executor must cancel: either a displaced older expiry event, or
-    /// `id` itself when the arm was already superseded by a disarm later
-    /// in the same action batch.
-    #[must_use = "a returned handle must be cancelled on the event queue"]
-    pub fn timer_scheduled(&mut self, kind: MacTimer, id: EventId) -> Option<EventId> {
-        let i = kind.index();
-        if !self.timer_armed[i] {
-            return Some(id);
-        }
-        self.timer_ev[i].replace(id)
-    }
-
-    /// Pops one handle awaiting cancellation (a disarmed or superseded
-    /// timer's expiry event). The executor drains this after every call
-    /// that may disarm timers and cancels each handle on its queue.
-    #[inline]
-    pub fn pop_cancelled(&mut self) -> Option<EventId> {
-        self.cancelled.pop()
-    }
-
-    /// Moves every stored timer handle into the pending-cancel buffer
-    /// and disarms all timers — used when the node dies or the MAC is
-    /// about to be replaced, so no expiry event outlives its owner.
-    pub fn cancel_all_timers(&mut self) {
-        for i in 0..MacTimer::COUNT {
-            self.timer_armed[i] = false;
-            if let Some(old) = self.timer_ev[i].take() {
-                self.cancelled.push(old);
-            }
+    /// Disarms `kind`, emitting a [`MacAction::CancelTimer`] only if it
+    /// was armed.
+    fn disarm(&mut self, kind: MacTimer, out: &mut Vec<MacAction<P>>) {
+        if std::mem::take(&mut self.timer_armed[kind.index()]) {
+            out.push(MacAction::CancelTimer { kind });
         }
     }
 
@@ -387,13 +346,6 @@ impl<P: Clone + Default + PartialEq> Mac<P> {
     /// its expiry or a disarm).
     pub fn is_armed(&self, kind: MacTimer) -> bool {
         self.timer_armed[kind.index()]
-    }
-
-    /// The stored expiry-event handle for `kind`, if armed. Lets the
-    /// executor cross-check (under `sanitize`) that a dispatched timer
-    /// expiry is the event the MAC still expects.
-    pub fn timer_event(&self, kind: MacTimer) -> Option<EventId> {
-        self.timer_ev[kind.index()]
     }
 
     /// Hands a data frame to the MAC for transmission, appending the
@@ -453,29 +405,16 @@ impl<P: Clone + Default + PartialEq> Mac<P> {
         out.push(MacAction::StartTx { frame, airtime });
     }
 
-    /// The medium became busy at this node. Never produces actions (the
-    /// MAC only freezes timers), so there is no buffer to fill.
-    pub fn carrier_busy(&mut self, now: SimTime) {
+    /// The medium became busy at this node. The only effect is to freeze
+    /// a running DIFS or backoff, so instead of filling a buffer this
+    /// returns the one timer it disarmed, whose expiry the caller must
+    /// cancel.
+    #[must_use = "the returned timer's expiry must be cancelled"]
+    pub fn carrier_busy(&mut self, now: SimTime) -> Option<MacTimer> {
         self.medium_busy = true;
-        match self.state {
-            State::Difs => {
-                self.disarm(MacTimer::Difs);
-                self.state = State::WaitIdle;
-                // Interrupted DIFS forces a contention backoff.
-                self.cw_pending = true;
-            }
-            State::Backoff => {
-                self.disarm(MacTimer::Backoff);
-                let remaining = self.backoff_deadline.saturating_duration_since(now);
-                // Round the frozen credit up to whole slots, as the
-                // standard decrements per-slot.
-                let slot = self.params.slot.as_nanos().max(1);
-                let slots = remaining.as_nanos().div_ceil(slot);
-                self.backoff_remaining = Some(SimDuration::from_nanos(slots * slot));
-                self.state = State::WaitIdle;
-            }
-            _ => {}
-        }
+        let frozen = self.freeze_access(now)?;
+        self.state = State::WaitIdle;
+        Some(frozen)
     }
 
     /// The medium became idle at this node.
@@ -488,19 +427,11 @@ impl<P: Clone + Default + PartialEq> Mac<P> {
     }
 
     /// A timer armed through [`MacAction::SetTimer`] expired. Disarmed
-    /// timers are truly cancelled on the event queue, so every expiry
-    /// that arrives here is current.
+    /// timers are cancelled on the event queue, so every expiry that
+    /// arrives here is armed.
     pub fn timer_fired_into(&mut self, kind: MacTimer, now: SimTime, out: &mut Vec<MacAction<P>>) {
-        let i = kind.index();
-        if !self.timer_armed[i] {
-            // Defensive: with true cancellation a disarmed timer's expiry
-            // never dispatches. Tolerated (not asserted) because a node
-            // revival swaps in a fresh MAC, and an expiry armed by the
-            // old one while the node was dead may still be in flight.
-            return;
-        }
-        self.timer_armed[i] = false;
-        self.timer_ev[i] = None; // consumed by this very dispatch
+        let was_armed = std::mem::take(&mut self.timer_armed[kind.index()]);
+        debug_assert!(was_armed, "{kind} timer fired while disarmed");
         match kind {
             MacTimer::Difs => {
                 debug_assert_eq!(self.state, State::Difs);
@@ -553,7 +484,9 @@ impl<P: Clone + Default + PartialEq> Mac<P> {
                             self.after_ack = match self.state {
                                 State::WaitAck => AfterAck::WaitAck,
                                 _ => {
-                                    self.freeze_access(now);
+                                    if let Some(kind) = self.freeze_access(now) {
+                                        out.push(MacAction::CancelTimer { kind });
+                                    }
                                     AfterAck::AccessCycle
                                 }
                             };
@@ -582,23 +515,30 @@ impl<P: Clone + Default + PartialEq> Mac<P> {
         }
     }
 
-    /// Interrupts a Difs/Backoff cycle in preparation for an ACK
-    /// transmission, preserving backoff credit.
-    fn freeze_access(&mut self, now: SimTime) {
-        match self.state {
+    /// Interrupts a running DIFS or backoff (busy medium, or an ACK to
+    /// send), preserving backoff credit. Returns the timer it disarmed;
+    /// the caller sets the next state.
+    fn freeze_access(&mut self, now: SimTime) -> Option<MacTimer> {
+        let kind = match self.state {
             State::Difs => {
-                self.disarm(MacTimer::Difs);
+                // An interrupted DIFS forces a contention backoff.
                 self.cw_pending = true;
+                MacTimer::Difs
             }
             State::Backoff => {
-                self.disarm(MacTimer::Backoff);
+                // Round the frozen credit up to whole slots, as the
+                // standard decrements per slot.
                 let remaining = self.backoff_deadline.saturating_duration_since(now);
                 let slot = self.params.slot.as_nanos().max(1);
                 let slots = remaining.as_nanos().div_ceil(slot);
                 self.backoff_remaining = Some(SimDuration::from_nanos(slots * slot));
+                MacTimer::Backoff
             }
-            _ => {}
-        }
+            _ => return None,
+        };
+        let was_armed = std::mem::take(&mut self.timer_armed[kind.index()]);
+        debug_assert!(was_armed, "{kind} state without its timer armed");
+        Some(kind)
     }
 
     fn handle_retry(&mut self, _now: SimTime, out: &mut Vec<MacAction<P>>) {
@@ -702,7 +642,7 @@ impl<P: Clone + Default + PartialEq> Mac<P> {
                         .map(|f| f.id == of && frame.src == unicast_dest(f))
                         .unwrap_or(false);
                     if matches {
-                        self.disarm(MacTimer::AckTimeout);
+                        self.disarm(MacTimer::AckTimeout, out);
                         let done = self.queue.pop_front().expect("checked");
                         let attempts = self.attempts;
                         self.stats.delivered += 1;
@@ -756,15 +696,15 @@ impl<P: Clone + Default + PartialEq> Mac<P> {
     }
 
     /// The node's radio went off: freeze everything. Queued frames are
-    /// retained; owed ACKs are dropped (the peer will retransmit).
+    /// retained; owed ACKs are dropped (the peer will retransmit). Every
+    /// timer is disarmed without a [`MacAction::CancelTimer`]: the
+    /// caller cancels all of this node's pending expiries.
     pub fn radio_slept(&mut self, _now: SimTime) {
         debug_assert!(
             !matches!(self.state, State::TxData | State::TxAck),
             "radio must not sleep mid-transmission"
         );
-        for kind in MacTimer::ALL {
-            self.disarm(kind);
-        }
+        self.timer_armed = [false; MacTimer::COUNT];
         self.pending_acks.clear();
         self.ack_notes.clear();
         self.backoff_remaining = None;

@@ -198,7 +198,7 @@ fn frame_dropped_after_retry_limit() {
 #[test]
 fn busy_medium_defers_then_backoff() {
     let mut mac = mk(0);
-    mac.carrier_busy(t(0));
+    assert_eq!(mac.carrier_busy(t(0)), None);
     let f = data(&mut mac, Dest::Broadcast, 1);
     let a1 = collect(|out| mac.enqueue_into(f, t(1), out));
     assert!(a1.is_empty(), "no access while busy");
@@ -230,7 +230,7 @@ fn busy_medium_defers_then_backoff() {
 fn backoff_freezes_and_resumes() {
     // Force a known backoff by trying seeds until a nonzero draw.
     let mut mac = mk(3);
-    mac.carrier_busy(t(0));
+    assert_eq!(mac.carrier_busy(t(0)), None);
     let f = data(&mut mac, Dest::Broadcast, 1);
     let _ = collect(|out| mac.enqueue_into(f, t(1), out));
     let a2 = collect(|out| mac.carrier_idle_into(t(100), out));
@@ -250,7 +250,7 @@ fn backoff_freezes_and_resumes() {
         return;
     };
     // Freeze partway through.
-    mac.carrier_busy(t(160));
+    assert_eq!(mac.carrier_busy(t(160)), Some(MacTimer::Backoff));
     let rem = mac.backoff_remaining.expect("frozen remainder");
     assert!(rem <= backoff);
     assert!(
@@ -321,75 +321,111 @@ fn suspend_retains_queue_and_resumes() {
     )));
 }
 
-#[test]
-fn disarm_surrenders_handle_for_cancellation() {
-    use essat_sim::queue::EventQueue;
-    let mut q: EventQueue<()> = EventQueue::new();
-    let mut mac = mk(0);
-    let f = data(&mut mac, Dest::Broadcast, 1);
-    let a1 = collect(|out| mac.enqueue_into(f, t(0), out)); // arms DIFS
-    let MacAction::SetTimer { kind, after } = a1[0] else {
-        panic!("expected timer");
-    };
-    // The executor schedules the expiry and reports the handle back.
-    let id = q.push(t(0) + after, ());
-    assert_eq!(mac.timer_scheduled(kind, id), None);
-    assert_eq!(mac.timer_event(kind), Some(id));
-    // Busy disarms the DIFS: the MAC surrenders the handle so the
-    // expiry event is truly cancelled, not fired stale.
-    mac.carrier_busy(t(10));
-    let surrendered = mac.pop_cancelled().expect("disarm surrenders the handle");
-    assert_eq!(surrendered, id);
-    assert!(mac.pop_cancelled().is_none());
-    assert!(q.cancel(surrendered));
-    assert!(q.is_empty());
-    // Defensive: a late expiry (protocol violated) is still a no-op.
-    assert!(collect(|out| mac.timer_fired_into(kind, t(50), out)).is_empty());
+fn cancels(actions: &[MacAction<u32>]) -> Vec<MacTimer> {
+    actions
+        .iter()
+        .filter_map(|a| match a {
+            MacAction::CancelTimer { kind } => Some(*kind),
+            _ => None,
+        })
+        .collect()
+}
+
+fn armed(mac: &TMac) -> Vec<MacTimer> {
+    MacTimer::ALL
+        .into_iter()
+        .filter(|&k| mac.is_armed(k))
+        .collect()
 }
 
 #[test]
-fn arm_superseded_before_scheduling_returns_own_handle() {
-    use essat_sim::queue::EventQueue;
-    let mut q: EventQueue<()> = EventQueue::new();
+fn busy_carrier_disarms_only_the_armed_timer() {
     let mut mac = mk(0);
+    // Idle MAC: nothing armed, so a busy carrier disarms nothing.
+    assert_eq!(mac.carrier_busy(t(0)), None);
+    assert_eq!(mac.carrier_busy(t(1)), None, "already deferring");
+    let _ = collect(|out| mac.carrier_idle_into(t(2), out));
     let f = data(&mut mac, Dest::Broadcast, 1);
-    let a1 = collect(|out| mac.enqueue_into(f, t(0), out));
-    let MacAction::SetTimer { kind, after } = a1[0] else {
-        panic!("expected timer");
-    };
-    // The medium goes busy (disarming the DIFS) before the executor
-    // schedules the arm's expiry event: reporting the fresh handle back
-    // returns it immediately for cancellation.
-    mac.carrier_busy(t(0));
-    let id = q.push(t(0) + after, ());
-    assert_eq!(mac.timer_scheduled(kind, id), Some(id));
-    assert_eq!(mac.timer_event(kind), None);
-}
-
-#[test]
-fn rearm_displaces_previous_handle() {
-    use essat_sim::queue::EventQueue;
-    let mut q: EventQueue<()> = EventQueue::new();
-    let mut mac = mk(0);
-    let f = data(&mut mac, Dest::Broadcast, 1);
-    let a1 = collect(|out| mac.enqueue_into(f, t(0), out));
-    let MacAction::SetTimer { kind, after } = a1[0] else {
-        panic!("expected timer");
-    };
-    let first = q.push(t(0) + after, ());
-    assert_eq!(mac.timer_scheduled(kind, first), None);
-    // Busy then idle re-arms the DIFS: the disarm surrendered `first`,
-    // and the new arm's handle takes its place cleanly.
-    mac.carrier_busy(t(10));
-    assert_eq!(mac.pop_cancelled(), Some(first));
+    let a1 = collect(|out| mac.enqueue_into(f, t(10), out)); // arms DIFS
+    assert!(cancels(&a1).is_empty());
+    assert_eq!(armed(&mac), [MacTimer::Difs]);
+    // The busy carrier freezes the DIFS and names it for cancellation.
+    assert_eq!(mac.carrier_busy(t(20)), Some(MacTimer::Difs));
+    assert!(armed(&mac).is_empty());
+    // A second busy edge finds nothing armed.
+    assert_eq!(mac.carrier_busy(t(30)), None);
+    // Idle re-arms a DIFS without a cancel: nothing was armed.
     let a2 = collect(|out| mac.carrier_idle_into(t(100), out));
-    let MacAction::SetTimer { kind, after } = a2[0] else {
-        panic!("expected re-armed timer");
+    assert!(cancels(&a2).is_empty());
+    assert_eq!(armed(&mac), [MacTimer::Difs]);
+}
+
+#[test]
+fn matching_ack_cancels_the_ack_timeout_once() {
+    let mut mac = mk(0);
+    let f = data(&mut mac, Dest::Unicast(NodeId::new(1)), 7);
+    let a1 = collect(|out| mac.enqueue_into(f, t(0), out));
+    let _ = fire(&mut mac, &a1, t(50));
+    let _ = collect(|out| mac.tx_ended_into(t(466), out));
+    assert_eq!(armed(&mac), [MacTimer::AckTimeout]);
+    let ack = Frame {
+        id: FrameId::new(1),
+        src: NodeId::new(1),
+        dest: Dest::Unicast(NodeId::new(0)),
+        kind: FrameKind::Ack(f.id),
+        bytes: ACK_BYTES,
+        payload: 0u32,
     };
-    let second = q.push(t(100) + after, ());
-    assert_eq!(mac.timer_scheduled(kind, second), None);
-    assert_eq!(mac.timer_event(kind), Some(second));
-    assert!(mac.pop_cancelled().is_none());
+    let a2 = collect(|out| mac.frame_arrived_into(ack, t(588), out));
+    assert_eq!(cancels(&a2), [MacTimer::AckTimeout]);
+    assert!(
+        matches!(a2[0], MacAction::CancelTimer { .. }),
+        "disarm first"
+    );
+    assert!(armed(&mac).is_empty());
+    // A duplicate ACK finds the timeout already disarmed: no cancel.
+    let a3 = collect(|out| mac.frame_arrived_into(ack, t(600), out));
+    assert!(cancels(&a3).is_empty());
+}
+
+#[test]
+fn ack_send_cancels_the_running_access_timer_before_the_tx() {
+    let mut mac = mk(0);
+    let f = data(&mut mac, Dest::Broadcast, 1);
+    let _ = collect(|out| mac.enqueue_into(f, t(0), out)); // arms DIFS
+    let mut sender = mk(2);
+    let g = data(&mut sender, Dest::Unicast(NodeId::new(0)), 5);
+    let a1 = collect(|out| mac.frame_arrived_into(g, t(10), out));
+    assert!(
+        cancels(&a1).is_empty(),
+        "the DIFS keeps running until the ACK goes out"
+    );
+    assert_eq!(armed(&mac), [MacTimer::Difs, MacTimer::AckDelay]);
+    let a2 = collect(|out| mac.timer_fired_into(MacTimer::AckDelay, t(20), out));
+    assert_eq!(cancels(&a2), [MacTimer::Difs]);
+    assert!(
+        matches!(a2[0], MacAction::CancelTimer { .. }),
+        "disarm first"
+    );
+    assert!(has_tx(&a2));
+    assert!(armed(&mac).is_empty());
+}
+
+#[test]
+fn suspend_leaves_nothing_armed() {
+    let mut mac = mk(0);
+    let f = data(&mut mac, Dest::Unicast(NodeId::new(1)), 1);
+    let _ = collect(|out| mac.enqueue_into(f, t(0), out)); // arms DIFS
+    let mut sender = mk(2);
+    let g = data(&mut sender, Dest::Unicast(NodeId::new(0)), 5);
+    let _ = collect(|out| mac.frame_arrived_into(g, t(10), out)); // arms AckDelay
+    assert_eq!(armed(&mac), [MacTimer::Difs, MacTimer::AckDelay]);
+    mac.radio_slept(t(20));
+    assert!(armed(&mac).is_empty());
+    // Waking re-arms from scratch.
+    let a = collect(|out| mac.radio_woke_into(t(1000), false, out));
+    assert!(cancels(&a).is_empty());
+    assert_eq!(armed(&mac), [MacTimer::Difs]);
 }
 
 #[test]

@@ -48,9 +48,9 @@ pub enum Ev {
         /// Round number.
         round: u64,
     },
-    /// MAC timer expiry. Disarmed timers are cancelled on the queue
-    /// (the MAC surrenders their handles), so an expiry that dispatches
-    /// is always the armed one.
+    /// MAC timer expiry. The executor keeps one handle per node and
+    /// timer kind (`Hot::mac_ev`) and cancels it when the MAC disarms
+    /// the kind, so an expiry that dispatches is always the armed one.
     MacTimer {
         /// Owning node.
         node: NodeId,

@@ -34,14 +34,10 @@ impl<P: Probe> World<P> {
             n.died_at = Some(now);
             n.radio.settle(now);
             // A dead node's MAC timers and chain policy schedules must
-            // not fire; surrender their handles and cancel them. The
-            // pending radio wake (if any) survives — a revival before
-            // it fires still honours it, and the dispatch dead-guard
-            // drops it otherwise.
-            n.mac.cancel_all_timers();
-            while let Some(id) = n.mac.pop_cancelled() {
-                ctx.cancel(id);
-            }
+            // not fire; cancel them. The pending radio wake (if any)
+            // survives — a revival before it fires still honours it,
+            // and the dispatch dead-guard drops it otherwise.
+            self.cancel_mac_timers(node, ctx);
             let mut chain = std::mem::take(&mut self.chain_ev[i]);
             for id in chain.drain(..) {
                 ctx.cancel(id);
@@ -126,13 +122,11 @@ impl<P: Probe> World<P> {
             n.died_at = None;
             n.revivals += 1;
             n.radio.resurrect(now);
-            // The outgoing MAC may still hold timer handles (timers
-            // armed while the node was dead no-op at dispatch but are
-            // better off the queue entirely).
-            n.mac.cancel_all_timers();
-            while let Some(id) = n.mac.pop_cancelled() {
-                ctx.cancel(id);
-            }
+            // The outgoing MAC may have armed timers while the node was
+            // dead (they no-op at dispatch but are better off the queue
+            // entirely).
+            self.cancel_mac_timers(node, ctx);
+            let n = &mut self.nodes[i];
             let old = std::mem::replace(&mut n.mac, Mac::new(node, self.cfg.mac, mac_rng));
             let ms = old.stats();
             self.mac_lost.enqueued += ms.enqueued;

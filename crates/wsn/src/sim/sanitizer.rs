@@ -20,12 +20,9 @@
 //!   in-flight transmission holds exactly one entry in the channel's
 //!   per-node copy index, and no entry names a finished transmission
 //!   ([`essat_net::channel::Channel::check_invariants`]).
-//! * **MAC timer liveness** — for every live node and every
-//!   [`MacTimer`] kind, the MAC has the kind armed exactly when the
-//!   expiry event its handle names is still pending on the queue. A
-//!   stale expiry is caught at dispatch (below); this catches the
-//!   opposite fault, a *lost* timer, which would leave the MAC waiting
-//!   forever for an expiry that never comes.
+//! * **MAC timer liveness** — a live node's MAC has a [`MacTimer`]
+//!   kind armed exactly when its stored expiry is pending on the queue.
+//!   This catches a *lost* timer, which would leave the MAC stuck.
 //!
 //! More invariants live at their natural sites: no frame is ever
 //! delivered to a dead node (asserted at the MAC `Deliver` action);
@@ -33,11 +30,13 @@
 //! length, split across the three state counters (asserted in
 //! `finalize_into`); and **no stale event ever dispatches** — a
 //! MAC-timer expiry, radio wake-up, chain policy timer, or collection
-//! timeout that reaches its handler must be the exact event its owner's
-//! stored [`essat_sim::queue::EventId`] handle names (asserted at each
-//! dispatch site), since superseded timers are truly cancelled on the
-//! queue rather than filtered at delivery. When the feature is off none
-//! of this exists — the hot path carries zero cost.
+//! timeout that reaches its handler must be the exact event whose
+//! [`essat_sim::queue::EventId`] handle the World stored for it
+//! (`Hot::mac_ev`, `Hot::wake_ev`, `chain_ev`, the round's
+//! `timeout_ev`; asserted at each dispatch site), since superseded
+//! timers are cancelled on the queue rather than filtered at delivery.
+//! When the feature is off none of this exists — the hot path carries
+//! zero cost.
 
 use essat_net::mac::MacTimer;
 use essat_obs::Probe;
@@ -88,11 +87,10 @@ impl<P: Probe> World<P> {
         }
     }
 
-    /// MAC timer liveness: armed ⇔ the stored handle is pending. The
-    /// event being dispatched has already left the queue but has not
-    /// reached its handler yet, so it still counts as pending. Dead
-    /// nodes are skipped: an expiry armed while dead is consumed by the
-    /// dead guard without reaching the MAC, and revival replaces the MAC.
+    /// MAC timer liveness. The event being dispatched has left the
+    /// queue but not reached its handler, so it counts as pending. Dead
+    /// nodes are skipped: the dead guard consumes their expiries without
+    /// the MAC, and revival replaces the MAC.
     fn sanitize_mac_timers(&self, ctx: &Context<'_, Ev>) {
         let now = ctx.now();
         let current = ctx.event_id();
@@ -102,9 +100,7 @@ impl<P: Probe> World<P> {
             }
             for kind in MacTimer::ALL {
                 let armed = n.mac.is_armed(kind);
-                let pending = n
-                    .mac
-                    .timer_event(kind)
+                let pending = self.hot.mac_ev[i][kind.index()]
                     .is_some_and(|id| id == current || ctx.is_pending(id));
                 assert_eq!(
                     armed, pending,

@@ -6,7 +6,7 @@ use essat_core::policy::{PolicyAction, SleepTrigger};
 use essat_net::channel::{Channel, TxEndBuf};
 use essat_net::frame::Frame;
 use essat_net::ids::NodeId;
-use essat_net::mac::Mac;
+use essat_net::mac::{Mac, MacTimer};
 use essat_net::radio::Radio;
 use essat_net::topology::Topology;
 use essat_obs::profile::RunTimings;
@@ -64,6 +64,9 @@ pub(crate) struct Hot {
     /// sleep decision cancels the superseded event on the queue through
     /// this handle instead of letting it dispatch stale.
     pub(crate) wake_ev: Vec<Option<EventId>>,
+    /// Handle of each armed MAC timer's pending expiry, per node and
+    /// [`MacTimer`] kind (the MAC itself holds no queue handles).
+    pub(crate) mac_ev: Vec<[Option<EventId>; MacTimer::COUNT]>,
     /// Death was caused by battery depletion: permanent — churn
     /// `resurrect` events must not revive a node with an empty battery.
     pub(crate) battery_dead: Vec<bool>,
@@ -79,6 +82,7 @@ impl Hot {
             radio_active: vec![true; n],
             active_since: vec![SimTime::ZERO; n],
             wake_ev: vec![None; n],
+            mac_ev: vec![[None; MacTimer::COUNT]; n],
             battery_dead: vec![false; n],
         }
     }
@@ -999,17 +1003,19 @@ impl<P: Probe> Model for World<P> {
             }
             Ev::MacTimer { node, kind } => {
                 // Disarmed timers were cancelled on the queue, so an
-                // expiry that dispatches is the armed one — no staleness
-                // check. The dead guard stays: death cancels the MAC's
-                // timers, but a timer armed *while dead* (a dead node's
-                // one-shot policy timer may still enqueue) must no-op.
+                // expiry that dispatches is the stored one; it is
+                // consumed here. The dead guard stays: death cancels the
+                // MAC's timers, but a timer armed *while dead* (a dead
+                // node's one-shot policy timer may still enqueue) must
+                // no-op.
+                let _stored = self.hot.mac_ev[node.index()][kind.index()].take();
+                #[cfg(feature = "sanitize")]
+                assert_eq!(
+                    _stored,
+                    Some(ctx.event_id()),
+                    "sanitizer: stale MAC timer dispatched at node {node}"
+                );
                 if !self.hot.dead[node.index()] {
-                    #[cfg(feature = "sanitize")]
-                    assert_eq!(
-                        self.nodes[node.index()].mac.timer_event(kind),
-                        Some(ctx.event_id()),
-                        "sanitizer: stale MAC timer dispatched at node {node}"
-                    );
                     let mut acts = self.take_macts();
                     self.nodes[node.index()]
                         .mac
