@@ -708,10 +708,14 @@ impl<P: Clone + Default + PartialEq> Mac<P> {
         self.pending_acks.clear();
         self.ack_notes.clear();
         self.backoff_remaining = None;
-        if self.state == State::WaitAck {
+        match self.state {
             // The exchange is abandoned; the frame stays at the head of
             // the queue and will be retried on wake (fresh contention).
-            self.cw_pending = true;
+            State::WaitAck => self.cw_pending = true,
+            // The current attempt never reached the air; waking starts
+            // it over, so it must not count twice.
+            State::WaitIdle | State::Difs | State::Backoff => self.attempts -= 1,
+            _ => {}
         }
         self.state = State::Suspended;
         self.medium_busy = false;

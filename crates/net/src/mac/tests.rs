@@ -429,6 +429,54 @@ fn suspend_leaves_nothing_armed() {
 }
 
 #[test]
+fn sleeping_before_the_air_does_not_count_an_attempt() {
+    let mut mac = mk(3);
+    let f = data(&mut mac, Dest::Unicast(NodeId::new(1)), 7);
+    // Window edges catch the frame in each contention state before it
+    // ever reaches the air: deferring on a busy medium, in DIFS, and in
+    // backoff.
+    assert_eq!(mac.carrier_busy(t(0)), None);
+    let _ = collect(|out| mac.enqueue_into(f, t(1), out));
+    assert_eq!(mac.state, State::WaitIdle);
+    mac.radio_slept(t(10));
+    let _ = collect(|out| mac.radio_woke_into(t(20), false, out));
+    assert_eq!(mac.state, State::Difs);
+    mac.radio_slept(t(30));
+    let _ = collect(|out| mac.radio_woke_into(t(40), false, out));
+    let _ = collect(|out| mac.timer_fired_into(MacTimer::Difs, t(90), out));
+    assert_eq!(
+        mac.state,
+        State::Backoff,
+        "this seed draws a nonzero backoff"
+    );
+    mac.radio_slept(t(100));
+    let _ = collect(|out| mac.radio_woke_into(t(110), false, out));
+    // Every attempt from here on reaches the air: the frame is dropped
+    // only after the full retry limit of transmissions.
+    let mut now = t(1000);
+    let dropped = loop {
+        now += SimDuration::from_micros(5000);
+        let a = if let Some(kind) = MacTimer::ALL.into_iter().find(|&k| mac.is_armed(k)) {
+            collect(|out| mac.timer_fired_into(kind, now, out))
+        } else {
+            collect(|out| mac.tx_ended_into(now, out))
+        };
+        if let Some(attempts) = a.iter().find_map(|a| match a {
+            MacAction::TxFailed { attempts, .. } => Some(*attempts),
+            _ => None,
+        }) {
+            break attempts;
+        }
+    };
+    assert_eq!(dropped, 7);
+    assert_eq!(
+        mac.stats().data_tx,
+        7,
+        "one transmission per counted attempt"
+    );
+}
+
+#[test]
 fn quiescence_reflects_pending_work() {
     let mut mac = mk(0);
     assert!(mac.is_quiescent());

@@ -338,10 +338,13 @@ impl RunResult {
     /// the preimage with the self-healing metrics (partition recovery,
     /// repairs, re-parent latency, orphan time, re-dispatches — all
     /// zero/absent on fault-free runs, whose simulation-level metrics
-    /// are byte-identical to version 2). Keep the old version's golden
-    /// file committed next to the new one so the history of intentional
-    /// migrations stays auditable.
-    pub const DIGEST_VERSION: u32 = 3;
+    /// are byte-identical to version 2); version 4 stopped the MAC from
+    /// counting a transmission attempt that a radio sleep cut off before
+    /// it reached the air (only SYNC and PSM sleep mid-contention; the
+    /// preimage is unchanged). Keep the old version's golden file committed next to
+    /// the new one so the history of intentional migrations stays
+    /// auditable.
+    pub const DIGEST_VERSION: u32 = 4;
 
     /// A 64-bit FNV-1a digest over every metric of the run, including
     /// per-round traces, per-node duty/energy bit patterns, the

@@ -19,6 +19,11 @@
 //! all zero on these fault-free runs; the underlying event stream is
 //! unchanged (`robustness::repair_is_invisible_on_fault_free_runs`
 //! pins that with a full enabled-vs-disabled digest comparison).
+//! Version 4 is a behaviour fix, not a schema change: a MAC whose radio
+//! sleeps while its frame is still contending (deferring, in DIFS or in
+//! backoff) no longer counts that attempt, which never reached the air.
+//! Only SYNC and PSM sleep mid-contention (at their window edges); in
+//! these fault-free runs only the SYNC row moved.
 //!
 //! Regenerate (only for *intentional* behaviour changes) with:
 //!
@@ -36,6 +41,7 @@ const GOLDEN: &str = include_str!("golden/quick_digests.txt");
 /// The previous digest schemas' goldens, retained for auditability.
 const GOLDEN_V1: &str = include_str!("golden/quick_digests_v1.txt");
 const GOLDEN_V2: &str = include_str!("golden/quick_digests_v2.txt");
+const GOLDEN_V3: &str = include_str!("golden/quick_digests_v3.txt");
 const SEED: u64 = 2025;
 
 /// All eight protocols, in the order the golden file records them.
@@ -131,7 +137,7 @@ fn quick_scale_digests_match_goldens() {
 /// so the migration trail cannot silently rot.
 #[test]
 fn retained_v1_goldens_parse() {
-    for (raw, version) in [(GOLDEN_V1, 1), (GOLDEN_V2, 2)] {
+    for (raw, version) in [(GOLDEN_V1, 1), (GOLDEN_V2, 2), (GOLDEN_V3, 3)] {
         let (parsed, entries) = parse_goldens(raw);
         assert_eq!(
             parsed, version,
