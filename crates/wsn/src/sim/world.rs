@@ -1008,13 +1008,15 @@ impl<P: Probe> Model for World<P> {
                 // MAC's timers, but a timer armed *while dead* (a dead
                 // node's one-shot policy timer may still enqueue) must
                 // no-op.
-                let _stored = self.hot.mac_ev[node.index()][kind.index()].take();
+                let stored = self.hot.mac_ev[node.index()][kind.index()].take();
                 #[cfg(feature = "sanitize")]
                 assert_eq!(
-                    _stored,
+                    stored,
                     Some(ctx.event_id()),
                     "sanitizer: stale MAC timer dispatched at node {node}"
                 );
+                #[cfg(not(feature = "sanitize"))]
+                let _ = stored;
                 if !self.hot.dead[node.index()] {
                     let mut acts = self.take_macts();
                     self.nodes[node.index()]
